@@ -44,7 +44,7 @@ _EXPERIMENTS = ("wulff-identity", "erosion", "minkowski", "disintegration",
 
 _KNOWN_KEYS = {
     "experiment", "norm", "shape", "dim", "spacing", "radii", "pairs",
-    "outdir", "seed", "resolution", "stencil_order", "margin", "tol",
+    "outdir", "seed", "resolution", "stencil_order", "tol",
     "hsteps", "sequence",
 }
 
@@ -62,7 +62,6 @@ class RunConfig:
     seed: int = 0
     resolution: int = None
     stencil_order: int = 3
-    margin: int = 2
     tol: float = None
     hsteps: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     sequence: str = "smoothed-max-to-linf"
@@ -73,6 +72,12 @@ class RunConfig:
     def shape_spec(self) -> ShapeSpec:
         text = self.shape if self.shape else "wulff r=1.5"
         return parse_shape(text, self.dim, default_norm=self.norm_obj())
+
+
+def _positive(key, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    return value
 
 
 def parse_config(text) -> RunConfig:
@@ -106,24 +111,28 @@ def parse_config(text) -> RunConfig:
             if cfg.dim not in (2, 3):
                 raise ConfigError("dim must be 2 or 3")
         if "spacing" in values:
-            cfg.spacing = float(values.pop("spacing"))
+            cfg.spacing = _positive("spacing", float(values.pop("spacing")))
         if "radii" in values:
-            cfg.radii = [float(x) for x in values.pop("radii").split(",")]
+            cfg.radii = [_positive("radii", float(x)) for x in values.pop("radii").split(",")]
         if "pairs" in values:
-            cfg.pairs = [tuple(float(x) for x in p.split(":"))
+            cfg.pairs = [tuple(_positive("pairs", float(x)) for x in p.split(":"))
                          for p in values.pop("pairs").split(",")]
+            if any(len(p) != 2 for p in cfg.pairs):
+                raise ConfigError("pairs must be s:r pairs")
         if "outdir" in values:
             cfg.outdir = values.pop("outdir")
         if "seed" in values:
             cfg.seed = int(values.pop("seed"))
         if "resolution" in values:
             cfg.resolution = int(values.pop("resolution"))
+            if cfg.resolution < 1:
+                raise ConfigError("resolution must be at least 1")
         if "stencil_order" in values:
             cfg.stencil_order = int(values.pop("stencil_order"))
-        if "margin" in values:
-            cfg.margin = int(values.pop("margin"))
+            if cfg.stencil_order not in (1, 2, 3):
+                raise ConfigError("stencil_order must be 1, 2 or 3")
         if "tol" in values:
-            cfg.tol = float(values.pop("tol"))
+            cfg.tol = _positive("tol", float(values.pop("tol")))
         if "hsteps" in values:
             cfg.hsteps = [int(x) for x in values.pop("hsteps").split(",")]
         if "sequence" in values:

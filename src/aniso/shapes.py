@@ -156,6 +156,14 @@ class _TwoBubbleProfile:
 
     Centered at the tangency point; the left/right centers are at
     -+ r * grad(phi)(axis), so phi_polar(c_right - c_left) = 2r exactly.
+
+    The plane {x_axis = 0} supports both balls at the origin (<x, e_axis> <=
+    phi(e_axis) phi_polar(x)), so a ray with u_axis > 0 leaves only the right
+    ball and one with u_axis < 0 only the left; both are solved only when
+    u_axis == 0.  Inside the neck band the blend's edge value and slope depend
+    on the ray only through its meridian (u with the axis part removed,
+    normalized) and its side of the equator, so they are solved once per
+    distinct (meridian, side) pair.
     """
 
     def __init__(self, norm, r, neck_width, axis=0):
@@ -184,7 +192,12 @@ class _TwoBubbleProfile:
         return lo
 
     def union_rho(self, u):
-        return np.maximum(self._ball_exit(u, 1.0), self._ball_exit(u, -1.0))
+        ua = u[:, self.axis]
+        out = np.zeros(len(u))
+        for sign, side in ((1.0, ua >= 0), (-1.0, ua <= 0)):
+            if np.any(side):
+                out[side] = np.maximum(out[side], self._ball_exit(u[side], sign))
+        return out
 
     def waist_rho(self, u_perp):
         # waist cross-section is a scaled Wulff slice of dual radius w/2
@@ -192,12 +205,15 @@ class _TwoBubbleProfile:
 
     def __call__(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        ca = u[:, self.axis]
-        theta = np.arccos(np.clip(ca, -1.0, 1.0))
-        out = self.union_rho(u)
+        return self._with_neck(u, self.union_rho(u))
+
+    def _with_neck(self, u, rho_union):
+        """The profile at rays u, given their union radii rho_union."""
+        theta = np.arccos(np.clip(u[:, self.axis], -1.0, 1.0))
+        out = rho_union.copy()
         band = np.abs(theta - np.pi / 2) < self.beta
         if np.any(band):
-            out[band] = self._blend(u[band], theta[band], out[band])
+            out[band] = self._blend(u[band], theta[band], rho_union[band])
         return out
 
     def _blend(self, u, theta, rho_union):
@@ -209,18 +225,25 @@ class _TwoBubbleProfile:
         side = np.where(theta <= np.pi / 2, 1.0, -1.0)
         t_edge = np.pi / 2 - side * self.beta
 
-        def direction(t):
-            d = np.zeros_like(u)
+        def direction(t, mer):
+            d = np.zeros_like(mer)
             d[:, self.axis] = np.cos(t)
-            d += np.sin(t)[:, None] * m
+            d += np.sin(t)[:, None] * mer
             return d
 
-        rho_e = self.union_rho(direction(t_edge))
+        # edge data per distinct (meridian, side); the edge ray and its two
+        # finite-difference neighbours go through one union solve
+        _, first, inv = np.unique(np.column_stack([m, side]), axis=0,
+                                  return_index=True, return_inverse=True)
+        inv = inv.ravel()                  # numpy 2.0.0 returns a column here
+        m_k, t_k = m[first], t_edge[first]
         dt = 1e-5
-        rho_e_d = (self.union_rho(direction(t_edge + dt))
-                   - self.union_rho(direction(t_edge - dt))) / (2 * dt)
-        u_eq = direction(np.full(len(u), np.pi / 2))
-        rho_c = self.waist_rho(u_eq)
+        rho_e, rho_p, rho_m = np.split(
+            self.union_rho(direction(np.concatenate([t_k, t_k + dt, t_k - dt]),
+                                     np.concatenate([m_k, m_k, m_k]))), 3)
+        rho_e_d = (rho_p - rho_m) / (2 * dt)
+        rho_c = self.waist_rho(direction(np.full(len(m_k), np.pi / 2), m_k))
+        rho_e, rho_e_d, rho_c = rho_e[inv], rho_e_d[inv], rho_c[inv]
         # cubic Hermite on [t_edge, pi/2]: value/slope at the edge from the
         # union profile, waist value with zero slope at the equator
         span = np.pi / 2 - t_edge
@@ -452,14 +475,15 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
             da = alpha[1] - alpha[0]
             u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
             t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
+            rho_u, rho_b = _union_and_profile(
+                profile, [u, _rot2(alpha + 1e-6), _rot2(alpha - 1e-6)])
 
-            def vec_of(fn):
-                rho = fn(u)
-                drho = (fn(_rot2(alpha + 1e-6)) - fn(_rot2(alpha - 1e-6))) / 2e-6
+            def vec_of(rho, rho_plus, rho_minus):
+                drho = (rho_plus - rho_minus) / 2e-6
                 return rho[:, None] * u - drho[:, None] * t
 
-            vb = vec_of(profile)
-            vu = vec_of(profile.union_rho)
+            vb = vec_of(*rho_b)
+            vu = vec_of(*rho_u)
             corr += float(np.sum(norm.eval(vb) - norm.eval(vu)) * da)
         return 2 * p_ball + corr
     n_theta, n_psi = n_band
@@ -479,14 +503,15 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
         u[..., perp[1]] = np.sin(th) * np.sin(ps)
         return u
 
-    def vec_of(fn):
-        u = dir_of(tg, pg).reshape(-1, 3)
-        rho = fn(u).reshape(tg.shape)
-        d = 1e-6
-        drho_t = (fn(dir_of(tg + d, pg).reshape(-1, 3)).reshape(tg.shape)
-                  - fn(dir_of(tg - d, pg).reshape(-1, 3)).reshape(tg.shape)) / (2 * d)
-        drho_p = (fn(dir_of(tg, pg + d).reshape(-1, 3)).reshape(tg.shape)
-                  - fn(dir_of(tg, pg - d).reshape(-1, 3)).reshape(tg.shape)) / (2 * d)
+    d = 1e-6
+    probes = [dir_of(th, ps).reshape(-1, 3)
+              for th, ps in ((tg, pg), (tg + d, pg), (tg - d, pg), (tg, pg + d), (tg, pg - d))]
+    rho_u, rho_b = _union_and_profile(profile, probes)
+
+    def vec_of(rhos):
+        rho, rho_tp, rho_tm, rho_pp, rho_pm = (r.reshape(tg.shape) for r in rhos)
+        drho_t = (rho_tp - rho_tm) / (2 * d)
+        drho_p = (rho_pp - rho_pm) / (2 * d)
         that = np.empty(tg.shape + (3,))
         that[..., axis] = -np.sin(tg)
         that[..., perp[0]] = np.cos(tg) * np.cos(pg)
@@ -499,11 +524,17 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
         u3 = dir_of(tg, pg)
         return (rho**2)[..., None] * u3 - rho[..., None] * grad_s
 
-    vb = vec_of(profile)
-    vu = vec_of(profile.union_rho)
+    vb = vec_of(rho_b)
+    vu = vec_of(rho_u)
     diff = (norm.eval(vb.reshape(-1, 3)) - norm.eval(vu.reshape(-1, 3))).reshape(tg.shape)
     corr = float(np.sum(diff * np.sin(tg)) * dt_h * dp)
     return 2 * p_ball + corr
+
+
+def _union_and_profile(profile, probes):
+    """Union radii and profile radii at each probe set, one union solve per set."""
+    rho_u = [profile.union_rho(p) for p in probes]
+    return rho_u, [profile._with_neck(p, r) for p, r in zip(probes, rho_u)]
 
 
 def _rot2(alpha):

@@ -21,8 +21,10 @@ class TestParseConfig:
             parse_config("norm=smoothmax:0.1")
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="experimnt"):
-            parse_config("experimnt=erosion")
+        for text, key in (("experimnt=erosion", "experimnt"),
+                          ("experiment=erosion\nmargin=2", "margin")):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(text)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nexperiment=wulff-identity  # trailing\n")
@@ -97,6 +99,16 @@ class TestRun:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("experimnt=erosion\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", [
+        "spacing=nan", "spacing=-1", "spacing=inf", "radii=0.3,nan", "radii=0,0.6",
+        "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",
+        "stencil_order=0", "stencil_order=7"])
+    def test_bad_value_exits_config(self, tmp_path, line, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert line.split("=")[0] in capsys.readouterr().err
 
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG

@@ -188,6 +188,149 @@ class TestRadialPerimeter:
             aniso_area(g.mesh, norm), rel=5e-3)
 
 
+def _union_ref(p, u):
+    # reference union: the larger of both balls' bisection exits, for every ray
+    return np.maximum(p._ball_exit(u, 1.0), p._ball_exit(u, -1.0))
+
+
+def _blend_ref(p, u, theta, rho_union):
+    # reference neck: edge value, slope and waist solved point by point
+    sa = np.sin(theta)
+    m = u.copy()
+    m[:, p.axis] = 0.0
+    m /= np.where(sa[:, None] > 1e-12, sa[:, None], 1.0)
+    side = np.where(theta <= np.pi / 2, 1.0, -1.0)
+    t_edge = np.pi / 2 - side * p.beta
+
+    def direction(t):
+        d = np.zeros_like(u)
+        d[:, p.axis] = np.cos(t)
+        d += np.sin(t)[:, None] * m
+        return d
+
+    rho_e = _union_ref(p, direction(t_edge))
+    dt = 1e-5
+    rho_e_d = (_union_ref(p, direction(t_edge + dt))
+               - _union_ref(p, direction(t_edge - dt))) / (2 * dt)
+    rho_c = p.waist_rho(direction(np.full(len(u), np.pi / 2)))
+    span = np.pi / 2 - t_edge
+    s = (theta - t_edge) / span
+    blended = ((2 * s**3 - 3 * s**2 + 1) * rho_e + (s**3 - 2 * s**2 + s) * span * rho_e_d
+               + (-2 * s**3 + 3 * s**2) * rho_c)
+    return np.maximum(blended, rho_union)
+
+
+def _profile_ref(p, u):
+    theta = np.arccos(np.clip(u[:, p.axis], -1.0, 1.0))
+    out = _union_ref(p, u)
+    band = np.abs(theta - np.pi / 2) < p.beta
+    out[band] = _blend_ref(p, u[band], theta[band], out[band])
+    return out
+
+
+def _band_correction_two_calls(p, n_band):
+    # the perimeter's band correction with the profile and the union each
+    # solved by its own call at every probe set
+    norm = p.norm
+    if norm.dim == 2:
+        def rot(a):
+            return np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+        corr = 0.0
+        for center in (np.pi / 2, -np.pi / 2):
+            alpha = np.linspace(center - p.beta, center + p.beta, 4096)
+            u = rot(alpha)
+            t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
+
+            def vec_of(fn):
+                drho = (fn(rot(alpha + 1e-6)) - fn(rot(alpha - 1e-6))) / 2e-6
+                return fn(u)[:, None] * u - drho[:, None] * t
+
+            corr += float(np.sum(norm.eval(vec_of(p)) - norm.eval(vec_of(p.union_rho)))
+                          * (alpha[1] - alpha[0]))
+        return corr
+    theta = np.linspace(np.pi / 2 - p.beta, np.pi / 2 + p.beta, n_band[0])
+    psi = (np.arange(n_band[1]) + 0.5) * (2 * np.pi / n_band[1])
+    tg, pg = np.meshgrid(theta, psi, indexing="ij")
+
+    def dir_of(th, ps):
+        return np.stack([np.cos(th), np.sin(th) * np.cos(ps), np.sin(th) * np.sin(ps)], -1)
+
+    def vec_of(fn):
+        def rho(th, ps):
+            return fn(dir_of(th, ps).reshape(-1, 3)).reshape(tg.shape)
+        d = 1e-6
+        drho_t = (rho(tg + d, pg) - rho(tg - d, pg)) / (2 * d)
+        drho_p = (rho(tg, pg + d) - rho(tg, pg - d)) / (2 * d)
+        that = np.stack([-np.sin(tg), np.cos(tg) * np.cos(pg), np.cos(tg) * np.sin(pg)], -1)
+        phat = np.stack([np.zeros_like(pg), -np.sin(pg), np.cos(pg)], -1)
+        grad_s = drho_t[..., None] * that + (drho_p / np.sin(tg))[..., None] * phat
+        r0 = rho(tg, pg)
+        return (r0**2)[..., None] * dir_of(tg, pg) - r0[..., None] * grad_s
+
+    vb, vu = vec_of(p), vec_of(p.union_rho)
+    diff = (norm.eval(vb.reshape(-1, 3)) - norm.eval(vu.reshape(-1, 3))).reshape(tg.shape)
+    return float(np.sum(diff * np.sin(tg)) * (theta[1] - theta[0]) * (2 * np.pi / n_band[1]))
+
+
+_PROFILE_NORMS = [(2, "euclidean"), (2, "ellipse:1,4"), (2, "smoothmax:0.5"),
+                  (2, "smoothmax:0.125"), (3, "euclidean"), (3, "ellipse:1,4,2"),
+                  (3, "smoothmax:0.5"), (3, "smoothmax:0.125")]
+
+
+class TestTwoBubbleProfileReference:
+    """Each two-bubble ray solved once, against the per-ray definitions.
+
+    Tolerances are fixed from the bisection quantum q = 2 radial_bound 2^-46:
+    q for union radii, q / 1e-5 for blended radii (the edge slope is a
+    central difference over 2e-5).
+    """
+
+    @staticmethod
+    def _profile(dim, spec):
+        from aniso.shapes import _TwoBubbleProfile
+        from aniso.norms import parse_norm
+        return _TwoBubbleProfile(parse_norm(spec, dim), 1.0, 0.3)
+
+    @staticmethod
+    def _rays(p):
+        from aniso.norms import unit_sphere_samples
+        dim = p.dim
+        band = np.linspace(-0.99 * p.beta, 0.99 * p.beta, 9)
+        if dim == 2:
+            alpha = np.concatenate([np.pi / 2 + band, -np.pi / 2 + band])
+            rows = [np.stack([np.cos(alpha), np.sin(alpha)], -1), [[0.0, 1.0], [0.0, -1.0]]]
+        else:
+            th, ps = np.meshgrid(np.pi / 2 + band, np.linspace(0.1, 2 * np.pi, 7),
+                                 indexing="ij")
+            ps0 = np.array([0.0, 1.0, 2.5, 4.0])
+            rows = [np.stack([np.cos(th), np.sin(th) * np.cos(ps), np.sin(th) * np.sin(ps)],
+                             -1).reshape(-1, 3),
+                    np.stack([np.zeros_like(ps0), np.cos(ps0), np.sin(ps0)], -1)]
+        u = np.concatenate([unit_sphere_samples(dim, 128)] + [np.asarray(r) for r in rows])
+        assert np.sum(u[:, p.axis] == 0.0) >= 2
+        assert np.sum(u[:, p.axis] > 0) > 20 and np.sum(u[:, p.axis] < 0) > 20
+        return u
+
+    @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
+    def test_union_and_blend_match_per_ray_definitions(self, dim, spec):
+        p = self._profile(dim, spec)
+        u = self._rays(p)
+        q = 2 * p.radial_bound * 2.0**-46
+        assert np.max(np.abs(p.union_rho(u) - _union_ref(p, u))) <= q
+        assert np.max(np.abs(p(u) - _profile_ref(p, u))) <= q / 1e-5
+
+    @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
+    def test_perimeter_matches_two_call_composition(self, dim, spec):
+        p = self._profile(dim, spec)
+        n_ball, n_band = 20_000, (40, 32)
+        p_ball = radial_perimeter(p.norm, wulff_radial_rho(p.norm, p.r),
+                                  n_dirs=n_ball if dim == 3 else 100_000)
+        ref = 2 * p_ball + _band_correction_two_calls(p, n_band)
+        assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(
+            ref, rel=1e-9)
+
+
 class TestNormSequence:
     def test_smoothed_max_pointwise_bound(self):
         # |phi_h(v) - max|v_i|| <= 3 eps_h log 6 at the sampled direction
