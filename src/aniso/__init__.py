@@ -49,7 +49,6 @@ from .mesh import (
     CurvatureField,
     TriSurface,
     VectorField,
-    affine_field,
     aniso_area,
     aniso_normal,
     constant_field,

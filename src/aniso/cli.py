@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnisoError, ConfigError
+from .errors import AnisoError, ConfigError, InvalidArgumentError
 from .grid import VoxelSet, distance_transform
 from .norms import Norm, parse_norm
 from .shapes import ShapeSpec, parse_shape
@@ -114,6 +114,8 @@ def parse_config(text) -> RunConfig:
             cfg.spacing = _positive("spacing", float(values.pop("spacing")))
         if "radii" in values:
             cfg.radii = [_positive("radii", float(x)) for x in values.pop("radii").split(",")]
+            if len(cfg.radii) < 4:
+                raise ConfigError("radii needs at least 4 values for the power-law fit")
         if "pairs" in values:
             cfg.pairs = [tuple(_positive("pairs", float(x)) for x in p.split(":"))
                          for p in values.pop("pairs").split(",")]
@@ -157,9 +159,15 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
         return check_wulff_identity(cfg.norm_obj(), r=spec.r,
                                     resolution=cfg.resolution, seed=cfg.seed)
     if experiment == "erosion":
-        rep, fit = check_erosion_laws(cfg.shape_spec(), radii=cfg.radii,
-                                      spacing=cfg.spacing, resolution=cfg.resolution,
-                                      stencil_order=cfg.stencil_order)
+        try:
+            rep, fit = check_erosion_laws(cfg.shape_spec(), radii=cfg.radii,
+                                          spacing=cfg.spacing, resolution=cfg.resolution,
+                                          stencil_order=cfg.stencil_order)
+        except InvalidArgumentError as exc:
+            # radii can only be checked against rbar once the shape is built
+            if cfg.radii is None:
+                raise
+            raise ConfigError(str(exc)) from exc
         rep.extras["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         return rep
     if experiment == "minkowski":
@@ -202,7 +210,11 @@ def run(cfg: RunConfig):
         except AnisoError as exc:
             reports.append({"experiment_id": experiment, "error": str(exc),
                             "passed": False})
-            status = max(status, EXIT_FAIL)
+            if isinstance(exc, ConfigError):
+                print(f"config error: {experiment}: {exc}", file=sys.stderr)
+                status = max(status, EXIT_CONFIG)
+            else:
+                status = max(status, EXIT_FAIL)
             continue
         if cfg.tol is not None:
             for row in rep.rows:

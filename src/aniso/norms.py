@@ -287,6 +287,9 @@ class SmoothedMaxNorm(Norm):
             sigma = sigma - step
             if np.max(np.abs(f)) < 1e-14 * max(1.0, target):
                 break
+        else:
+            raise ConvergenceError("smoothmax gauge Newton solve did not converge in 64 steps",
+                                   best=sigma, gap=float(np.max(np.abs(f))))
         return sigma
 
     def _eval(self, v):
@@ -384,6 +387,9 @@ class _SmoothedMaxPolar(Norm):
             theta = theta - f / fp
             if np.max(np.abs(f)) < 1e-14 * max(1.0, abs(logw)):
                 break
+        else:
+            raise ConvergenceError("smoothmax polar Newton solve did not converge in 64 steps",
+                                   best=theta, gap=float(np.max(np.abs(f))))
         return theta
 
     def _maximizer(self, v):

@@ -8,8 +8,10 @@ radial data so the two representations agree to rounding:
 * radially perturbed Wulff shapes, (1 + eps * Y(u)) * r * grad(phi)(u), an
   almost-constant-anisotropic-curvature family with Y a fixed low-order
   spherical-harmonic pattern;
-* two-bubble dumbbells: two tangent Wulff shapes joined by a C^1 neck of
-  prescribed waist width (cubic Hermite blend of the radial profiles);
+* two-bubble dumbbells: two tangent Wulff shapes joined by a neck of
+  prescribed waist width; the neck is the upper envelope of a cubic Hermite
+  blend of the radial profiles and the two-ball union, so it is C^0 (not
+  C^1) where the Hermite crosses the union;
 * tangent unions of Wulff shapes with pairwise dual-norm center distance
   exactly 2r.
 """
@@ -152,7 +154,12 @@ class PerturbedWulffSolid:
 
 
 class _TwoBubbleProfile:
-    """Radial function of two tangent Wulff shapes plus a C^1 Hermite neck.
+    """Radial function of two tangent Wulff shapes plus a neck.
+
+    Inside the neck band the radius is max(Hermite, union): a cubic Hermite
+    blend from the union's edge value and slope to the waist, raised to the
+    two-ball union wherever it dips below it.  The envelope never cuts into
+    the balls, and it is C^0, not C^1, where the Hermite crosses the union.
 
     Centered at the tangency point; the left/right centers are at
     -+ r * grad(phi)(axis), so phi_polar(c_right - c_left) = 2r exactly.
@@ -262,8 +269,6 @@ class _TwoBubbleProfile:
             raise GeometryError("two-bubble radial profile degenerate; widen the neck")
         theta = np.arccos(np.clip(u[:, self.axis], -1, 1))
         band = np.abs(theta - np.pi / 2) < self.beta
-        if np.any(rho[band] < self.union_rho(u[band]) - 1e-9 * self.r):
-            raise GeometryError("neck blend dips below the two-bubble union (self-intersection)")
         self._band_rho_bound = float(np.max(rho[band])) * 1.05 if np.any(band) else 0.0
 
     # fast solid-level evaluation: the two balls dominate everywhere except a

@@ -283,7 +283,8 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     Returns (report, PowerLawFit).  For inputs with curvature deviation above
     ``dev_floor`` the pass tolerance is widened by c_cal * dev^(1/n) when a
     calibration constant is supplied; with dev > 1 the almost-CMC hypothesis
-    fails and rows are recorded without a pass requirement.
+    fails and rows are recorded without a pass requirement.  Radii at or
+    past rbar raise InvalidArgumentError.
     """
     t0 = time.perf_counter()
     if isinstance(shape, ShapeSpec) and resolution is None:
@@ -296,6 +297,9 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     lam, rbar = stats["lambda"], stats["rbar"]
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     radii = np.asarray([0.2, 0.3, 0.4, 0.5, 0.6]) * rbar if radii is None else np.asarray(radii, float)
+    if np.any(radii >= rbar):
+        raise InvalidArgumentError(
+            f"erosion radii must lie below rbar = {rbar:.6g}, got {float(np.max(radii)):.6g}")
     rep = VerificationReport(
         "erosion",
         {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,

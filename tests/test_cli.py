@@ -103,12 +103,20 @@ class TestRun:
     @pytest.mark.parametrize("line", [
         "spacing=nan", "spacing=-1", "spacing=inf", "radii=0.3,nan", "radii=0,0.6",
         "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",
-        "stencil_order=0", "stencil_order=7"])
+        "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert line.split("=")[0] in capsys.readouterr().err
+
+    def test_radius_past_rbar_recorded(self, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("experiment=erosion\ndim=2\nradii=0.1,0.2,0.3,0.4,5.0\n"
+                            f"outdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "rbar" in report["reports"][0]["error"]
 
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG

@@ -19,7 +19,9 @@ from aniso import (
     identity_field,
     lambda_of,
     lp_deviation,
+    parse_norm,
 )
+from aniso.mesh import _fill_flagged
 from aniso.norms import tangent_basis
 
 
@@ -140,6 +142,120 @@ class TestCurvature:
         head = path.read_text().splitlines()
         assert head[0] == "vertex,kappa_1,kappa_2,H"
         assert len(head) == len(sphere.vertices) + 1
+
+
+def _reference_curvature(s, norm, method, ring=2):
+    """The per-vertex loop that the stacked kernel replaced, kept as its oracle."""
+    one = s.vertex_neighbors()
+    rings = one
+    if ring == 2:
+        rings = []
+        for i, n1 in enumerate(one):
+            nbrs = set(n1)
+            for j in n1:
+                nbrs.update(one[j])
+            nbrs.discard(i)
+            rings.append(np.fromiter(sorted(nbrs), dtype=np.int64))
+    min_nbrs = 6 if method == "quadratic" else 3
+    nv = len(s.vertices)
+    frames = tangent_basis(s.normals)
+    nphi_all = norm.grad(s.normals) if method == "normal-fit" else None
+    kap = np.zeros((nv, 2))
+    mean = np.zeros(nv)
+    flagged = np.zeros(nv, dtype=bool)
+    for i in range(nv):
+        nb = rings[i]
+        if len(nb) < min_nbrs:
+            flagged[i] = True
+            continue
+        t1 = frames[i, :, 0]; t2 = frames[i, :, 1]; nu = s.normals[i]
+        dx = s.vertices[nb] - s.vertices[i]
+        xi1 = dx @ t1; xi2 = dx @ t2
+        if method == "quadratic":
+            z = dx @ nu
+            cols = np.stack([0.5 * xi1**2, xi1 * xi2, 0.5 * xi2**2, xi1, xi2], axis=-1)
+            scale = np.linalg.norm(dx, axis=-1).mean()
+            try:
+                coef = np.linalg.solve(cols.T @ cols + 1e-14 * scale**2 * np.eye(5),
+                                       cols.T @ z)
+            except np.linalg.LinAlgError:
+                flagged[i] = True
+                continue
+            a, b, c, dcoef, e = coef
+            w = np.sqrt(1.0 + dcoef**2 + e**2)
+            first = np.array([[1.0 + dcoef**2, dcoef * e], [dcoef * e, 1.0 + e**2]])
+            second = np.array([[a, b], [b, c]]) / w
+            s_graph = -np.linalg.solve(first, second)
+            hphi = norm.hess((nu - dcoef * t1 - e * t2) / w)
+            v1 = t1 + dcoef * nu
+            v2 = t2 + e * nu
+            wv = np.stack([hphi @ v1, hphi @ v2], axis=-1)
+            coords = np.stack([[v1 @ wv[:, 0], v1 @ wv[:, 1]],
+                               [v2 @ wv[:, 0], v2 @ wv[:, 1]]])
+            amat = np.linalg.solve(first, coords) @ s_graph
+        else:
+            dm = nphi_all[nb] - nphi_all[i]
+            xi = np.stack([xi1, xi2], axis=-1)
+            um = np.stack([dm @ t1, dm @ t2], axis=-1)
+            gram = xi.T @ xi
+            if np.linalg.cond(gram) > 1e12:
+                flagged[i] = True
+                continue
+            amat = np.linalg.solve(gram, xi.T @ um).T
+        tr = amat[0, 0] + amat[1, 1]
+        det = amat[0, 0] * amat[1, 1] - amat[0, 1] * amat[1, 0]
+        root = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
+        kap[i] = [(tr - root) / 2.0, (tr + root) / 2.0]
+        mean[i] = tr
+    _fill_flagged(kap, mean, flagged, s)
+    return kap, mean, flagged
+
+
+def _collapsed_ring_mesh(norm):
+    # the whole 2-ring of vertex 0 moved onto it: that vertex's height fit
+    # (or normal fit) is singular, its neighbours' fits stay solvable
+    m = WulffShape(norm, 1.5).boundary_mesh(resolution=3)
+    v = m.vertices.copy()
+    one = m.vertex_neighbors()
+    v[np.concatenate([one[j] for j in one[0]])] = v[0]
+    return TriSurface(v, m.faces, normals=m.normals, validate=False)
+
+
+class TestStackedCurvature:
+    """The blocked kernel against the per-vertex loop, vertex by vertex."""
+
+    @pytest.mark.parametrize("spec, method, ring, collapse", [
+        ("euclidean", "quadratic", 2, False),
+        ("ellipse:1,4,2", "quadratic", 2, False),
+        ("smoothmax:0.5", "quadratic", 2, False),
+        ("smoothmax:0.1", "normal-fit", 2, False),
+        ("ellipse:1,4,2", "quadratic", 1, False),     # valence-5 rings too short
+        ("ellipse:1,4,2", "quadratic", 2, True),      # singular stacked solve
+        ("smoothmax:0.1", "normal-fit", 2, True),     # rank test fails
+    ])
+    def test_matches_per_vertex_loop(self, spec, method, ring, collapse):
+        norm = parse_norm(spec, 3)
+        if collapse:
+            m = _collapsed_ring_mesh(norm)
+        else:
+            m = WulffShape(norm, 1.5).boundary_mesh(resolution=3)
+        f = curvature(m, norm, ring=ring)
+        assert f.method == method
+        kap, mean, flagged = _reference_curvature(m, norm, method, ring)
+        np.testing.assert_array_equal(f.flagged, flagged)
+        if ring == 1 or collapse:
+            assert 0 < f.n_flagged < len(m.vertices)
+        else:
+            assert f.n_flagged == 0
+        np.testing.assert_allclose(f.mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f.kappa.sum(-1), kap.sum(-1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f.kappa.prod(-1), kap.prod(-1), rtol=1e-10, atol=0)
+        # the split of kappa goes through sqrt(tr^2 - 4 det): sqrt(eps)-stable
+        assert np.max(np.abs(f.kappa - kap)) <= 1e-7 * np.max(np.abs(kap))
+
+    def test_ring_validated(self, sphere):
+        with pytest.raises(InvalidArgumentError):
+            curvature(sphere, EuclideanNorm(3), ring=0)
 
 
 class TestLpDeviation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aniso import (
+    ConvergenceError,
     DualNorm,
     EllipseNorm,
     EuclideanNorm,
@@ -235,6 +236,28 @@ class TestDual:
         v = rng.normal(size=(30, 3))
         err = np.abs(numeric_bidual.eval(v) - norm.eval(v)) / norm.eval(v)
         assert np.max(err) <= 1e-8
+
+
+class TestSmoothmaxNewton:
+    # a level below the minimum log(2m) of the log-sum-exp (or a polar level W
+    # below the minimum m of sum_i sqrt(1 + t^2 u_i^2)) leaves the scalar
+    # equation without a root, so every Newton step keeps a residual
+    def test_gauge_solve_raises_on_exhaustion(self, monkeypatch):
+        norm = SmoothedMaxNorm(3, 0.1)
+        monkeypatch.setattr(norm, "_log_level", 1.0)
+        with pytest.raises(ConvergenceError) as info:
+            norm.eval(np.array([[1.0, 0.5, 0.2]]))
+        assert info.value.gap >= np.log(6.0) - 1.0 - 1e-12
+        assert info.value.best.shape == (1,)
+
+    def test_polar_solve_raises_on_exhaustion(self, monkeypatch):
+        base = SmoothedMaxNorm(3, 0.1)
+        polar = base.dual()
+        monkeypatch.setattr(base, "_log_w", np.log(0.5))
+        with pytest.raises(ConvergenceError) as info:
+            polar.eval(np.array([[1.0, 0.5, 0.2]]))
+        assert info.value.gap > 0.0
+        assert info.value.best.shape == (1,)
 
 
 class TestConvexityCertificate:
