@@ -31,13 +31,11 @@ from .norms import (
     WeightedLpNorm,
     convexity_certificate,
     parse_norm,
-    sphere_sup,
     unit_sphere_samples,
 )
 from .wulff import (
     Polytope,
     WulffShape,
-    boundary_mesh,
     crystalline_polytope,
     icosphere,
     monte_carlo_volume,
@@ -63,7 +61,6 @@ from .mesh import (
 from .grid import (
     Difference,
     DistanceField,
-    Intersection,
     Translate,
     Union,
     VoxelSet,
@@ -90,7 +87,6 @@ from .shapes import (
 from .verify import (
     PowerLawFit,
     VerificationReport,
-    calibrate_c,
     check_disintegration,
     check_erosion_laws,
     check_minkowski_law,

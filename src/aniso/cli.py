@@ -26,6 +26,7 @@ from .norms import Norm, parse_norm
 from .shapes import ShapeSpec, parse_shape
 from .verify import (
     VerificationReport,
+    atomic_write,
     check_disintegration,
     check_erosion_laws,
     check_minkowski_law,
@@ -230,8 +231,8 @@ def run(cfg: RunConfig):
             status = max(status, EXIT_FAIL)
     payload = json.dumps({"config": _config_dict(cfg), "reports": reports},
                          sort_keys=True, indent=1)
-    _atomic(os.path.join(outdir, "report.json"), payload)
-    _atomic(os.path.join(outdir, "runtime.json"),
+    atomic_write(os.path.join(outdir, "report.json"), payload)
+    atomic_write(os.path.join(outdir, "runtime.json"),
             json.dumps({"timings": timings, "written_at": time.time()}, indent=1))
     return status
 
@@ -260,13 +261,6 @@ def _plots_for(rep, plotdir):
                         "perimeter gap": (hs, [row["per_gap"] for row in rows])},
                        title="convergence along the norm sequence", xlabel="h",
                        ylabel="volume / perimeter gap")
-
-
-def _atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

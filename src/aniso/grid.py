@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidArgumentError, MarginError
+from .errors import ConvergenceError, InvalidArgumentError, MarginError
 from .norms import Norm, unit_sphere_samples
 
 
@@ -171,26 +171,6 @@ class Union(SetExpression):
         return (np.min([b[0] for b in bs], axis=0), np.max([b[1] for b in bs], axis=0))
 
 
-class Intersection(SetExpression):
-    def __init__(self, *shapes):
-        self.shapes = shapes
-        if _all_have_level(shapes):
-            self.level_at = self._level_at
-
-    def contains_points(self, pts):
-        out = self.shapes[0].contains_points(pts)
-        for s in self.shapes[1:]:
-            out = out & s.contains_points(pts)
-        return out
-
-    def _level_at(self, pts):
-        return np.max([s.level_at(pts) for s in self.shapes], axis=0)
-
-    def bounds(self):
-        bs = [s.bounds() for s in self.shapes]
-        return (np.max([b[0] for b in bs], axis=0), np.min([b[1] for b in bs], axis=0))
-
-
 class Difference(SetExpression):
     def __init__(self, keep, remove):
         self.keep = keep
@@ -308,55 +288,78 @@ def stencil_offsets(dim, k):
 
 
 def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
-    """In-place Bellman relaxation with directional sweeps until no update."""
+    """In-place Bellman relaxation with directional sweeps until no update.
+
+    A sweep walks the slabs of one axis in one direction and relaxes the
+    offsets whose largest component, ``oa``, lies on that axis with that sign.
+    Slab i takes one min-plus filter per source slab i - oa: a grey erosion
+    whose footprint holds the offsets' perpendicular shifts, weighted -w, so
+    each candidate is exactly fl(dist[x - o] + w).
+
+    Clean slabs are skipped.  ``changed[axis][j]`` is the last sweep that
+    lowered a voxel with index j on that axis, and ``visited[i]`` the last
+    sweep that relaxed slab i in this sweep's direction; a source slab is
+    filtered again only when it changed after that visit.  All weights are
+    positive, so the floating-point Bellman equation has a unique solution
+    and the order of visits cannot change a bit of it.
+    """
     d = dist.ndim
     lead = np.argmax(np.abs(offsets), axis=1)
-    sweep_plan = []
+    sweeps = []
     for axis in range(d):
         for sign in (1, -1):
-            sel = (lead == axis) & (np.sign(offsets[:, axis]) == sign)
-            if np.any(sel):
-                sweep_plan.append((axis, sign, offsets[sel], weights[sel]))
+            filters = []
+            for oa in sign * np.arange(1, np.max(np.abs(offsets)) + 1):
+                sel = (lead == axis) & (offsets[:, axis] == oa)
+                if not sel.any():
+                    continue
+                perp = np.delete(offsets[sel], axis, axis=1)
+                reach = int(np.max(np.abs(perp)))
+                footprint = np.zeros((2 * reach + 1,) * (d - 1), dtype=bool)
+                structure = np.zeros(footprint.shape)
+                # grey_erosion reads input[x + b - center] at footprint cell b
+                cells = tuple((reach - perp).T)
+                footprint[cells] = True
+                structure[cells] = -weights[sel]
+                filters.append((int(oa), footprint, structure))
+            if filters:
+                sweeps.append((axis, sign, filters, np.full(dist.shape[axis], -1)))
+    changed = [np.zeros(n, dtype=int) for n in dist.shape]
+    clock = 0
     for _ in range(max_rounds):
-        changed = False
-        for axis, sign, offs, ws in sweep_plan:
+        any_change = False
+        for axis, sign, filters, visited in sweeps:
+            clock += 1
             n = dist.shape[axis]
-            rng = range(n) if sign > 0 else range(n - 1, -1, -1)
-            perp = []
-            for o, w in zip(offs, ws):
-                tgt = []
-                src = []
-                for j in range(d):
-                    if j == axis:
+            stamps = changed[axis]
+            perp_axes = [j for j in range(d) if j != axis]
+            for i in range(n) if sign > 0 else range(n - 1, -1, -1):
+                cand = None
+                for oa, footprint, structure in filters:
+                    src = i - oa
+                    if not (0 <= src < n and stamps[src] > visited[i]):
                         continue
-                    oj = o[j]
-                    nj = dist.shape[j]
-                    tgt.append(slice(max(oj, 0), nj + min(oj, 0)))
-                    src.append(slice(max(-oj, 0), nj + min(-oj, 0)))
-                perp.append((int(o[axis]), tuple(tgt), tuple(src), w))
-            for i in rng:
-                dst_slab = dist[(slice(None),) * axis + (i,)] if axis == 0 else None
-                for oa, tgt, src, w in perp:
-                    isrc = i - oa
-                    if isrc < 0 or isrc >= n:
-                        continue
-                    tidx = _slab_index(axis, i, tgt)
-                    sidx = _slab_index(axis, isrc, src)
-                    cand = dist[sidx] + w
-                    tview = dist[tidx]
-                    upd = cand < tview
-                    if upd.any():
-                        tview[upd] = cand[upd]
-                        changed = True
-        if not changed:
+                    c = ndimage.grey_erosion(dist[(slice(None),) * axis + (src,)],
+                                             footprint=footprint, structure=structure,
+                                             mode="constant", cval=np.inf)
+                    cand = c if cand is None else np.minimum(cand, c, out=cand)
+                visited[i] = clock
+                if cand is None:
+                    continue
+                slab = dist[(slice(None),) * axis + (i,)]
+                upd = cand < slab
+                if not upd.any():
+                    continue
+                np.minimum(cand, slab, out=slab)
+                stamps[i] = clock
+                for pos, j in enumerate(perp_axes):
+                    others = tuple(q for q in range(d - 1) if q != pos)
+                    changed[j][upd.any(axis=others)] = clock
+                any_change = True
+        if not any_change:
             return
-    raise InvalidArgumentError("distance relaxation did not converge (grid too large?)")
-
-
-def _slab_index(axis, i, perp_slices):
-    idx = list(perp_slices)
-    idx.insert(axis, i)
-    return tuple(idx)
+    raise ConvergenceError(f"distance relaxation did not converge in {max_rounds} rounds",
+                           best=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +536,8 @@ def reach_along(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
     """Largest s with |delta(a + s*eta) - s| <= spacing, by scan plus bisection.
 
     ``eta`` must satisfy phi_polar(eta) = 1 (a unit Wulff-boundary direction);
-    ``a`` should lie within one voxel of the occupied set's boundary.
+    ``a`` should lie within one voxel of the occupied set's boundary.  Raises
+    ConvergenceError when 32 bisections leave a bracket above tol_factor * h.
     """
     out = reach_along_batch(df, np.atleast_2d(np.asarray(a, float)),
                             np.atleast_2d(np.asarray(eta, float)),
@@ -559,7 +563,6 @@ def reach_along_batch(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
     n_steps = max(int(np.ceil(s_max / (0.5 * h))), 4)
     svals = np.linspace(0.0, s_max, n_steps + 1)
     nray = a.shape[0]
-    ok_prev = np.zeros(nray, dtype=bool)
     s_lo = np.zeros(nray)
     s_hi = np.full(nray, np.nan)
     alive = np.ones(nray, dtype=bool)
@@ -572,19 +575,21 @@ def reach_along_batch(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
         s_hi[newly_dead] = sv
         alive &= ok | (j == 0)
         s_lo[alive] = sv
-        ok_prev = ok
     s_hi = np.where(np.isnan(s_hi), s_max, s_hi)
     # bisection refinement between last good and first bad sample
     tol = tol_factor * h
     for _ in range(32):
-        gap = s_hi - s_lo
-        if np.max(gap) <= tol:
+        if np.max(s_hi - s_lo) <= tol:
             break
         mid = 0.5 * (s_lo + s_hi)
         vals = df.sample(a + mid[:, None] * eta)
         good = np.abs(vals - mid) <= h
         s_lo = np.where(good, mid, s_lo)
         s_hi = np.where(good, s_hi, mid)
+    gap = float(np.max(s_hi - s_lo))
+    if gap > tol:
+        raise ConvergenceError(f"reach bisection ended {gap:.3g} above tol {tol:.3g}",
+                               best=s_lo, gap=gap)
     return s_lo
 
 

@@ -524,7 +524,6 @@ class DualNorm(Norm):
         super().__init__(base.dim)
         self.base = base
         self.solver_tolerance = float(solver_tolerance)
-        self._numeric = bool(force_numeric)
         self.partner = None if force_numeric else base._dual_partner()
         # maximizer memo for repeated single-direction queries on the numeric
         # path; dict mutation is atomic under the GIL, so shared reads are safe
@@ -773,12 +772,6 @@ def convexity_certificate(norm: Norm, samples=1000) -> ConvexityCertificate:
     eig = np.linalg.eigvalsh(ht)[..., 0]
     k = int(np.argmin(eig))
     return ConvexityCertificate(gamma=float(eig[k]), sample_count=samples, min_location=u[k])
-
-
-def sphere_sup(norm: Norm, samples=4096):
-    """sup of phi over the unit Euclidean sphere (sampled, deterministic)."""
-    u = unit_sphere_samples(norm.dim, samples)
-    return float(np.max(norm.eval(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class VerificationReport:
         return out
 
     def save_json(self, path):
-        _atomic_write(path, json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        atomic_write(path, json.dumps(self.to_dict(), sort_keys=True, indent=1))
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -154,7 +154,8 @@ def _jsonable(obj):
     return obj
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write text to path through a temporary file and an atomic rename."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -342,25 +343,6 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
             0.1 / (n + 1), enforce=in_regime)
     rep.wall_time = time.perf_counter() - t0
     return rep, fit
-
-
-def calibrate_c(norm: Norm, spacing=None, resolution=None, eps=0.1, pattern=0,
-                stencil_order=3):
-    """Fit the tolerance-widening constant on the designated eps=0.1 family.
-
-    Returns max over radii of (relative error - grid tolerance)+ / dev^(1/n),
-    measured once on the perturbed-Wulff family; reports that reuse it state
-    the calibration inputs.
-    """
-    spec = ShapeSpec("perturbed-wulff", norm, r=1.5, eps=eps, pattern=pattern)
-    rep, _ = check_erosion_laws(spec, spacing=spacing, resolution=resolution,
-                                stencil_order=stencil_order, c_cal=None)
-    dev = rep.extras["dev_ln"]
-    n = norm.dim - 1
-    tol_grid = DEFAULTS[norm.dim]["tol_erosion"]
-    errs = [r["rel_err"] for r in rep.rows if r["name"].startswith("erosion-volume")]
-    excess = max(max(errs) - tol_grid, 0.0)
-    return float(excess / dev ** (1.0 / n)) if dev > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

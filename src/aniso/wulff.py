@@ -119,15 +119,11 @@ class WulffShape:
         """Boundary points r * grad(phi)(u) for unit directions u."""
         return self.r * self.norm.grad(u)
 
-    def boundary_mesh(self, resolution=None, sampling="gradient") -> TriSurface:
+    def boundary_mesh(self, resolution=None) -> TriSurface:
         """Closed oriented boundary mesh.
 
-        sampling="gradient" places vertices at r * grad(phi)(u_k) over a
-        quasi-uniform sphere sample and stores u_k as the exact outward
-        normal.  sampling="radial" projects the sphere sample radially onto
-        { phi_polar = r }, which distributes vertices evenly over the surface
-        (useful for strongly anisotropic norms); normals come from the dual
-        gradient and are exact as well.
+        Vertices sit at r * grad(phi)(u_k) over a quasi-uniform sphere sample,
+        and u_k is stored as the exact outward normal.
         """
         if self.is_crystalline:
             raise UnsupportedOperationError(
@@ -142,15 +138,7 @@ class WulffShape:
             count = 512 if resolution is None else int(resolution)
             u = circle_points(count)
             faces = closed_loop_faces(count)
-        if sampling == "gradient":
-            verts = self.r * self.norm.grad(u)
-            normals = u
-        elif sampling == "radial":
-            verts = self.r * u / self.dual.eval(u)[:, None]
-            normals = _level_set_normals(self.dual, verts)
-        else:
-            raise InvalidArgumentError("sampling must be 'gradient' or 'radial'")
-        return TriSurface(verts, faces, normals=normals,
+        return TriSurface(self.r * self.norm.grad(u), faces, normals=u,
                           resolution=level if self.dim == 3 else count)
 
     def polytope(self):
@@ -163,18 +151,8 @@ class WulffShape:
         return wulff_perimeter(self, resolution=resolution)
 
 
-def _level_set_normals(dual, pts):
-    """Outward unit normals of { phi_polar = const }: normalized polar gradients."""
-    g = dual.grad(pts)
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
 def contains(w: WulffShape, x, slack=0.0):
     return w.contains(x, slack=slack)
-
-
-def boundary_mesh(w: WulffShape, resolution=None, sampling="gradient"):
-    return w.boundary_mesh(resolution=resolution, sampling=sampling)
 
 
 # ---------------------------------------------------------------------------

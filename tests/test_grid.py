@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aniso import (
+    ConvergenceError,
     Difference,
     EllipseNorm,
     EuclideanNorm,
     InvalidArgumentError,
     MarginError,
+    SmoothedMaxNorm,
     Translate,
     Union,
     VoxelSet,
@@ -16,6 +20,7 @@ from aniso import (
     crystalline_polytope,
     cut_locus_mask,
     dilate,
+    distance_from_set,
     distance_transform,
     erode,
     rasterize,
@@ -23,7 +28,8 @@ from aniso import (
     reach_along_batch,
     stencil_offsets,
 )
-from aniso.grid import DistanceField
+from aniso import grid
+from aniso.grid import DistanceField, _relax_to_fixpoint
 from aniso.norms import L1Norm
 
 
@@ -134,6 +140,167 @@ class TestDistanceTransform:
         for axis in (0, 1):
             diff = np.abs(np.diff(d, axis=axis))
             assert diff.max() <= df.chamfer_factor * h * (1 + 1e-9) + 1e-12
+
+
+def _per_offset_relax(dist, offsets, weights, max_rounds=128):
+    """The per-offset raster sweep that the slab engine replaced; returns the
+    number of rounds it ran, the last of which changed nothing."""
+    d = dist.ndim
+    lead = np.argmax(np.abs(offsets), axis=1)
+    sweep_plan = []
+    for axis in range(d):
+        for sign in (1, -1):
+            sel = (lead == axis) & (np.sign(offsets[:, axis]) == sign)
+            if np.any(sel):
+                sweep_plan.append((axis, sign, offsets[sel], weights[sel]))
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for axis, sign, offs, ws in sweep_plan:
+            n = dist.shape[axis]
+            perp = []
+            for o, w in zip(offs, ws):
+                tgt, src = [], []
+                for j in range(d):
+                    if j != axis:
+                        tgt.append(slice(max(o[j], 0), dist.shape[j] + min(o[j], 0)))
+                        src.append(slice(max(-o[j], 0), dist.shape[j] + min(-o[j], 0)))
+                perp.append((int(o[axis]), tgt, src, w))
+            for i in range(n) if sign > 0 else range(n - 1, -1, -1):
+                for oa, tgt, src, w in perp:
+                    if not 0 <= i - oa < n:
+                        continue
+                    cand = dist[tuple(src[:axis] + [i - oa] + src[axis:])] + w
+                    tview = dist[tuple(tgt[:axis] + [i] + tgt[axis:])]
+                    upd = cand < tview
+                    if upd.any():
+                        tview[upd] = cand[upd]
+                        changed = True
+        if not changed:
+            return rounds
+    raise AssertionError("reference sweep did not converge")
+
+
+def _ring_and_disk(norm):
+    """A non-convex set of two components: an annulus around a disk (ball)."""
+    return Union(Difference(WulffShape(norm, 1.0), WulffShape(norm, 0.6)),
+                 WulffShape(norm, 0.3))
+
+
+class TestSlabEngine:
+    """The dirty-slab engine against the per-offset sweep, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["ellipse-2d", "ring-2d", "smoothmax-3d",
+                                      "ellipse-3d", "ring-3d", "eroded-3d"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fields_match_per_offset_sweep(self, case, k, monkeypatch):
+        if case == "ellipse-2d":
+            norm = EllipseNorm(np.diag([1.0, 4.0]))
+            vox = rasterize(WulffShape(norm, 1.0), 0.08)
+        elif case == "ring-2d":
+            norm = EuclideanNorm(2)
+            vox = rasterize(_ring_and_disk(norm), 0.08, margin=4)
+        elif case == "smoothmax-3d":
+            norm = SmoothedMaxNorm(3, 0.1)
+            vox = rasterize(WulffShape(norm, 1.0), 0.2, margin=3)
+        elif case == "ellipse-3d":
+            norm = EllipseNorm(np.diag([1.0, 4.0, 2.0]))
+            vox = rasterize(WulffShape(norm, 1.0), 0.15)
+        elif case == "ring-3d":
+            norm = EuclideanNorm(3)
+            vox = rasterize(_ring_and_disk(norm), 0.15, margin=3)
+        else:
+            # an eroded set seeds its dilation from r - delta, as in criterion 4
+            norm = EuclideanNorm(3)
+            vox = rasterize(WulffShape(norm, 1.0), 0.1, margin=3)
+            vox = erode(distance_transform(vox, norm.dual(), k=3), 0.3)
+        assert vox.level is not None
+        if case.startswith("ring"):
+            assert components(vox)[1] == 2
+        dual = norm.dual()
+        got = [distance_transform(vox, dual, k=k).values,
+               distance_from_set(vox, dual, k=k).values]
+        rounds = []
+        monkeypatch.setattr(grid, "_relax_to_fixpoint",
+                            lambda *a, **kw: rounds.append(_per_offset_relax(*a, **kw)))
+        want = [distance_transform(vox, dual, k=k).values,
+                distance_from_set(vox, dual, k=k).values]
+        assert len(rounds) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_many_round_field_matches(self):
+        # cheap (1, +-2) steps zigzag across a strip three voxels wide, so each
+        # round carries the path two rows further and the fixpoint needs many
+        # rounds; every other offset is too expensive to compete
+        offs = stencil_offsets(2, 2)
+        w = np.where(np.abs(offs[:, 1]) == 2, 1.0, 100.0)
+        dist = np.full((24, 3), np.inf)
+        dist[0, 0] = 0.0
+        dist[23, 2] = 5.0
+        want = dist.copy()
+        rounds = _per_offset_relax(want, offs, w)
+        assert rounds >= 6
+        _relax_to_fixpoint(dist, offs, w)
+        assert np.array_equal(dist, want)
+
+    def test_round_limit_raises_convergence_error(self):
+        occ = np.zeros((12, 12), dtype=bool)
+        occ[2:10, 3:9] = True
+        vox = VoxelSet(np.zeros(2), 0.1, occ)
+        offs = stencil_offsets(2, 3)
+        w = EuclideanNorm(2).dual().eval(offs * 0.1)
+        seed = np.where(occ, np.inf, 0.0)
+        assert _per_offset_relax(seed.copy(), offs, w) == 2
+        _relax_to_fixpoint(seed.copy(), offs, w, max_rounds=2)
+        with pytest.raises(ConvergenceError):
+            _relax_to_fixpoint(seed.copy(), offs, w, max_rounds=1)
+
+
+_PROPERTY_NORMS = {2: EllipseNorm(np.diag([1.0, 4.0])),
+                   3: EllipseNorm(np.diag([1.0, 4.0, 2.0]))}
+
+
+@st.composite
+def _small_sets(draw):
+    """Random occupancy with an empty one-voxel margin, stencil order and spacing."""
+    dim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(3, 12 if dim == 2 else 7)) + 2 for _ in range(dim))
+    inner = tuple(n - 2 for n in shape)
+    cells = draw(st.lists(st.booleans(), min_size=int(np.prod(inner)),
+                          max_size=int(np.prod(inner))))
+    occ = np.zeros(shape, dtype=bool)
+    occ[tuple(slice(1, n - 1) for n in shape)] = np.reshape(cells, inner)
+    k = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from([0.1, 0.37]))
+    return VoxelSet(np.zeros(dim), spacing, occ), k
+
+
+def _brute_force(vox, dual, sources, targets):
+    """min over source voxel centers of phi_polar(x - a), at target voxels, else 0."""
+    pts = vox.centers(np.ones(vox.dims, dtype=bool))
+    src = vox.centers(sources)
+    exact = np.min(dual.eval(pts[:, None, :] - src[None, :, :]), axis=1).reshape(vox.dims)
+    return np.where(targets, exact, 0.0)
+
+
+class TestDistanceProperties:
+    """Stencil distances lie between the free metric and chamfer times it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_sets())
+    def test_chamfer_bounds(self, case):
+        vox, k = case
+        occ = vox.occupancy
+        assume(occ.any())
+        dual = _PROPERTY_NORMS[vox.dim].dual()
+        cham = chamfer_factor(dual, vox.dim, k)
+        fields = [(distance_transform(vox, dual, k=k).values,
+                   _brute_force(vox, dual, ~occ, occ)),
+                  (distance_from_set(vox, dual, k=k).values,
+                   _brute_force(vox, dual, occ, ~occ))]
+        for vals, exact in fields:
+            assert np.all(vals >= exact * (1 - 1e-12))
+            assert np.all(vals <= cham * exact * (1 + 1e-12))
 
 
 class TestStencil:
@@ -301,6 +468,15 @@ class TestReach:
         tau = reach_along_batch(df, g.mesh.vertices, eta)
         mask = good_set_mask(f, 1.0)
         assert np.all(tau[mask] <= 1.0 / f.mean[mask] * 1.05 + 2 * vox.spacing)
+
+    def test_unreachable_tolerance_raises(self, ball2d):
+        # 32 bisections shrink a half-voxel bracket to ~1e-10 voxels, not 1e-12
+        _, vox, df = ball2d
+        with pytest.raises(ConvergenceError) as info:
+            reach_along_batch(df, np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]),
+                              tol_factor=1e-12)
+        assert 1e-12 * vox.spacing < info.value.gap < 1e-9 * vox.spacing
+        assert abs(info.value.best[0] - 1.0) <= 2 * vox.spacing
 
     def test_non_unit_direction_rejected(self, ball2d):
         with pytest.raises(InvalidArgumentError):
