@@ -53,6 +53,6 @@ print(f"  exponent {fit.exponent:.4f} (n+1 = 2), amplitude {fit.amplitude:.4f}, 
 from aniso.verify import plot_erosion_fit
 
 radii = np.asarray(rep.inputs["radii"])
-plot_erosion_fit(os.path.join(OUT, "erosion_law.svg"), rep.extras["rbar"],
-                 radii, rep.extras["measured_volumes"], fit)
+plot_erosion_fit(os.path.join(OUT, "erosion_law.svg"), rep.extras["rbar"] - radii,
+                 rep.extras["measured_volumes"], fit)
 print(f"  log-log plot written to {os.path.join(OUT, 'erosion_law.svg')}")

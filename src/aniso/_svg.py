@@ -1,19 +1,17 @@
 """Minimal SVG line plots (polyline and text primitives only)."""
 
-import math
-
 import numpy as np
 
 _PALETTE = ["#26b", "#b22", "#282", "#a2a", "#b71", "#177"]
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False, size=(640, 480)):
-    """Write a plot of named (x, y) series to an SVG file.
+def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
+    """Write a 640x480 plot of named (x, y) series to an SVG file.
 
     series: dict name -> (x array, y array).  With loglog=True both axes are
     log10-scaled and nonpositive entries are dropped.
     """
-    w, h = size
+    w, h = 640, 480
     mleft, mright, mtop, mbot = 70, 20, 40, 50
     pts = {}
     for name, (xs, ys) in series.items():
@@ -69,7 +67,3 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False, size=(
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out))
-
-
-def is_finite_positive(x):
-    return math.isfinite(x) and x > 0

@@ -12,6 +12,7 @@ low-confidence result, 64 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,17 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnisoError, ConfigError, InvalidArgumentError
+from .errors import AnisoError, ConfigError, ConvergenceError, InvalidArgumentError
 from .grid import VoxelSet, distance_transform
 from .norms import Norm, parse_norm
-from .shapes import ShapeSpec, parse_shape
+from .shapes import ShapeSpec, norm_sequence, parse_shape
 from .verify import (
+    PowerLawFit,
     VerificationReport,
     atomic_write,
     check_disintegration,
     check_erosion_laws,
     check_minkowski_law,
     check_wulff_identity,
+    plot_erosion_fit,
+    plot_sequence,
     run_bubbling,
 )
 from .wulff import WulffShape, polygon_svg
@@ -138,6 +142,8 @@ def parse_config(text) -> RunConfig:
             cfg.tol = _positive("tol", float(values.pop("tol")))
         if "hsteps" in values:
             cfg.hsteps = [int(x) for x in values.pop("hsteps").split(",")]
+            if min(cfg.hsteps) < 1:
+                raise ConfigError("hsteps values must be at least 1")
         if "sequence" in values:
             cfg.sequence = values.pop("sequence")
     except ConfigError:
@@ -147,6 +153,7 @@ def parse_config(text) -> RunConfig:
     # validate the specs parse under their grammars
     try:
         cfg.norm_obj()
+        norm_sequence(cfg.sequence, 1, cfg.dim)
         if cfg.shape:
             cfg.shape_spec()
     except AnisoError as exc:
@@ -160,21 +167,17 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
         return check_wulff_identity(cfg.norm_obj(), r=spec.r,
                                     resolution=cfg.resolution, seed=cfg.seed)
     if experiment == "erosion":
-        try:
+        with _config_values(cfg.radii):
             rep, fit = check_erosion_laws(cfg.shape_spec(), radii=cfg.radii,
                                           spacing=cfg.spacing, resolution=cfg.resolution,
                                           stencil_order=cfg.stencil_order)
-        except InvalidArgumentError as exc:
-            # radii can only be checked against rbar once the shape is built
-            if cfg.radii is None:
-                raise
-            raise ConfigError(str(exc)) from exc
         rep.extras["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         return rep
     if experiment == "minkowski":
-        return check_minkowski_law(cfg.shape_spec(), pairs=cfg.pairs,
-                                   spacing=cfg.spacing, resolution=cfg.resolution,
-                                   stencil_order=cfg.stencil_order)
+        with _config_values(cfg.pairs):
+            return check_minkowski_law(cfg.shape_spec(), pairs=cfg.pairs,
+                                       spacing=cfg.spacing, resolution=cfg.resolution,
+                                       stencil_order=cfg.stencil_order)
     if experiment == "disintegration":
         return check_disintegration(cfg.shape_spec(), resolution=cfg.resolution,
                                     spacing=cfg.spacing,
@@ -188,6 +191,18 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
                             resolution=cfg.resolution, dim=cfg.dim,
                             stencil_order=cfg.stencil_order)
     raise ConfigError(f"unknown experiment {experiment!r}")
+
+
+@contextlib.contextmanager
+def _config_values(values):
+    """Radii and pairs meet rbar only once the shape is built: when they came
+    from the config, the driver's InvalidArgumentError is a config error."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        if values is None:
+            raise
+        raise ConfigError(str(exc)) from exc
 
 
 def run(cfg: RunConfig):
@@ -229,7 +244,7 @@ def run(cfg: RunConfig):
             status = max(status, EXIT_AMBIGUOUS)
         if not rep.passed:
             status = max(status, EXIT_FAIL)
-    payload = json.dumps({"config": _config_dict(cfg), "reports": reports},
+    payload = json.dumps({"config": vars(cfg), "reports": reports},
                          sort_keys=True, indent=1)
     atomic_write(os.path.join(outdir, "report.json"), payload)
     atomic_write(os.path.join(outdir, "runtime.json"),
@@ -237,30 +252,19 @@ def run(cfg: RunConfig):
     return status
 
 
-def _config_dict(cfg: RunConfig):
-    return {k: v for k, v in vars(cfg).items()}
-
-
 def _plots_for(rep, plotdir):
-    from . import _svg
     if rep.experiment_id == "erosion" and "measured_volumes" in rep.extras:
-        radii = np.asarray(rep.inputs["radii"])
-        rbar = rep.extras["rbar"]
-        fit = rep.extras["power_law"]
-        gaps = rbar - radii
-        _svg.line_plot(
-            os.path.join(plotdir, "erosion.svg"),
-            {"measured": (gaps, np.asarray(rep.extras["measured_volumes"])),
-             f"slope {fit['exponent']:.2f}": (gaps, fit["amplitude"] * gaps**fit["exponent"])},
-            title="eroded volume vs gap", xlabel="rbar - r", ylabel="volume", loglog=True)
+        plot_erosion_fit(os.path.join(plotdir, "erosion.svg"),
+                         rep.extras["rbar"] - np.asarray(rep.inputs["radii"]),
+                         rep.extras["measured_volumes"],
+                         PowerLawFit(**rep.extras["power_law"]))
     if rep.experiment_id == "bubbling" and "sequence_rows" in rep.extras:
         rows = rep.extras["sequence_rows"]
-        hs = [row["h"] for row in rows]
-        _svg.line_plot(os.path.join(plotdir, "bubbling.svg"),
-                       {"symmetric difference": (hs, [row["symdiff"] for row in rows]),
-                        "perimeter gap": (hs, [row["per_gap"] for row in rows])},
-                       title="convergence along the norm sequence", xlabel="h",
-                       ylabel="volume / perimeter gap")
+        plot_sequence(os.path.join(plotdir, "bubbling.svg"), [row["h"] for row in rows],
+                      {"symmetric difference": [row["symdiff"] for row in rows],
+                       "perimeter gap": [row["per_gap"] for row in rows]},
+                      title="convergence along the norm sequence",
+                      ylabel="volume / perimeter gap")
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +288,22 @@ def _cmd_run(args):
 
 def _cmd_wulff(args):
     try:
+        if args.svg and args.dim != 2:
+            raise InvalidArgumentError("SVG export is for 2D boundaries")
         norm = parse_norm(args.norm, args.dim)
         w = WulffShape(norm, args.r)
         if w.is_crystalline:
             mesh = w.polytope().to_trisurface()
         else:
             mesh = w.boundary_mesh(resolution=args.resolution)
-    except AnisoError as exc:
+        mesh.save_text(args.out)
+        print(f"mesh with {len(mesh.vertices)} vertices written to {args.out}")
+        if args.svg:
+            polygon_svg(mesh, args.svg)
+            print(f"svg written to {args.svg}")
+    except (AnisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    mesh.save_text(args.out)
-    print(f"mesh with {len(mesh.vertices)} vertices written to {args.out}")
-    if args.svg:
-        if args.dim != 2:
-            print("error: SVG export is for 2D boundaries", file=sys.stderr)
-            return EXIT_CONFIG
-        polygon_svg(mesh, args.svg)
-        print(f"svg written to {args.svg}")
     return EXIT_PASS
 
 
@@ -312,10 +315,11 @@ def _cmd_dt(args):
         vox.check_margin(args.margin)
         norm = parse_norm(args.norm, vox.dim)
         df = distance_transform(vox, norm.dual(), k=args.stencil_order)
-    except AnisoError as exc:
+        df.save(args.out)
+    except (AnisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    df.save(args.out)
+        # bad input is a config error; a relaxation that does not converge fails
+        return EXIT_FAIL if isinstance(exc, ConvergenceError) else EXIT_CONFIG
     print(f"distance field written to {args.out} "
           f"(chamfer factor {df.chamfer_factor:.4f})")
     return EXIT_PASS

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConvergenceError, InvalidArgumentError, MarginError
-from .norms import Norm, unit_sphere_samples
+from .norms import Norm
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +125,18 @@ class VoxelSet:
             endian = fh.read(1)
             if endian != b"<":
                 raise InvalidArgumentError("unsupported endianness tag")
-            (dim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{dim}q", fh.read(8 * dim))
-            origin = np.array(struct.unpack(f"<{dim}d", fh.read(8 * dim)))
-            (spacing,) = struct.unpack("<d", fh.read(8))
+            try:
+                (dim,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{dim}q", fh.read(8 * dim))
+                origin = np.array(struct.unpack(f"<{dim}d", fh.read(8 * dim)))
+                (spacing,) = struct.unpack("<d", fh.read(8))
+            except struct.error as exc:
+                raise InvalidArgumentError("truncated voxel file header") from exc
             total = int(np.prod(shape))
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
-            occ = np.unpackbits(packed, count=total).astype(bool).reshape(shape)
+        if min(shape, default=0) < 1 or len(packed) != (total + 7) // 8:
+            raise InvalidArgumentError("voxel payload does not match the grid shape")
+        occ = np.unpackbits(packed, count=total).astype(bool).reshape(shape)
         return cls(origin, spacing, occ)
 
 
@@ -139,19 +144,11 @@ class VoxelSet:
 # set expressions for rasterization
 
 
-class SetExpression:
-    def contains_points(self, pts):
-        raise NotImplementedError
-
-    def bounds(self):
-        raise NotImplementedError
-
-
 def _all_have_level(shapes):
     return all(hasattr(s, "level_at") for s in shapes)
 
 
-class Union(SetExpression):
+class Union:
     def __init__(self, *shapes):
         self.shapes = shapes
         if _all_have_level(shapes):
@@ -171,7 +168,7 @@ class Union(SetExpression):
         return (np.min([b[0] for b in bs], axis=0), np.max([b[1] for b in bs], axis=0))
 
 
-class Difference(SetExpression):
+class Difference:
     def __init__(self, keep, remove):
         self.keep = keep
         self.remove = remove
@@ -188,7 +185,7 @@ class Difference(SetExpression):
         return self.keep.bounds()
 
 
-class Translate(SetExpression):
+class Translate:
     def __init__(self, shape, offset):
         self.shape = shape
         self.offset = np.asarray(offset, dtype=float)
@@ -210,9 +207,9 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
     """Classify voxel centers by membership.
 
     ``shape`` is anything with contains_points/bounds (WulffShape, Polytope,
-    TriSurface, SetExpression).  The grid box is the shape's bounding box
-    padded by ``margin`` voxels; pass origin/dims to rasterize onto an
-    explicit grid instead (several shapes on one grid stay comparable).
+    TriSurface, Union, Difference, Translate).  The grid box is the shape's
+    bounding box padded by ``margin`` voxels; pass origin/dims to rasterize
+    onto an explicit grid instead (several shapes on one grid stay comparable).
     """
     if spacing <= 0:
         raise InvalidArgumentError("spacing must be positive")
@@ -248,10 +245,6 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
     out = VoxelSet(np.asarray(origin, float), float(spacing), occ, level=lvl)
     out.check_margin(1)
     return out
-
-
-def volume(s: VoxelSet):
-    return s.volume()
 
 
 def components(s: VoxelSet):
@@ -443,16 +436,23 @@ def distance_transform(s: VoxelSet, dual: Norm, k=3) -> DistanceField:
     if s.occupancy.all():
         raise InvalidArgumentError("empty complement: distance would be infinite everywhere")
     s.check_margin(1)
+    return _seeded_distance(s, ~s.occupancy, 1.0, dual, k)
+
+
+def _seeded_distance(s: VoxelSet, seeds, sign, dual, k):
+    """Stencil distance from the ``seeds`` voxels, clamped to zero on them.
+
+    With a level function, seeds start at -clip(sign * level, 0, 3h): sign 1
+    when the seeds are the complement (level > 0 there), -1 when they are the
+    occupied set itself.
+    """
     offs = stencil_offsets(s.dim, k)
-    weights = dual.eval(offs * s.spacing)
-    dist = np.where(s.occupancy, np.inf, 0.0)
+    dist = np.where(seeds, 0.0, np.inf)
     if s.level is not None:
-        band = 3.0 * s.spacing
-        outside = ~s.occupancy
-        dist[outside] = -np.clip(s.level[outside], 0.0, band)
-    _relax_to_fixpoint(dist, offs, weights)
+        dist[seeds] = -np.clip(sign * s.level[seeds], 0.0, 3.0 * s.spacing)
+    _relax_to_fixpoint(dist, offs, dual.eval(offs * s.spacing))
     np.maximum(dist, 0.0, out=dist)
-    dist[~s.occupancy] = 0.0
+    dist[seeds] = 0.0
     return DistanceField(s, dist, dual, k)
 
 
@@ -482,57 +482,32 @@ def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
 
 def distance_from_set(s: VoxelSet, dual: Norm, k=3) -> DistanceField:
     """Distance measured from the occupied voxels outward (dilation field)."""
-    offs = stencil_offsets(s.dim, k)
-    weights = dual.eval(offs * s.spacing)
-    dist = np.where(s.occupancy, 0.0, np.inf)
-    if s.level is not None:
-        band = 3.0 * s.spacing
-        occ = s.occupancy
-        dist[occ] = np.clip(s.level[occ], -band, 0.0)
-    _relax_to_fixpoint(dist, offs, weights)
-    np.maximum(dist, 0.0, out=dist)
-    dist[s.occupancy] = 0.0
-    return DistanceField(s, dist, dual, k)
+    return _seeded_distance(s, s.occupancy, -1.0, dual, k)
 
 
 # ---------------------------------------------------------------------------
 # chamfer factor
 
 
-_CHAMFER_CACHE = {}
+def chamfer_factor(dual: Norm, dim, k):
+    """max over directions of (stencil path metric) / phi_polar, exactly.
 
-
-def chamfer_factor(dual: Norm, dim, k, directions=None):
-    """max over directions of (stencil path metric) / phi_polar.
-
-    The stencil metric is the gauge of the convex hull of
-    { offset / phi_polar(offset) }, evaluated by a small linear program per
-    sampled direction.
+    The stencil metric is the gauge of K = conv{ offset / phi_polar(offset) }.
+    On a facet a.x <= b of K, sup_u (a.u) / phi_polar(u) = phi(a), so the
+    factor is the largest phi(a) / b over the facets of the hull.
     """
-    key = (dual.spec_string, dim, k)
-    if key in _CHAMFER_CACHE:
-        return _CHAMFER_CACHE[key]
-    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull
 
     offs = stencil_offsets(dim, k).astype(float)
-    w = dual.eval(offs)
-    if directions is None:
-        directions = 720 if dim == 2 else 400
-    us = unit_sphere_samples(dim, directions)
-    worst = 1.0
-    for u in us:
-        res = linprog(c=w, A_eq=offs.T, b_eq=u, bounds=(0, None), method="highs")
-        if res.status == 0:
-            worst = max(worst, res.fun / float(dual.eval(u)))
-    _CHAMFER_CACHE[key] = worst
-    return worst
+    eq = ConvexHull(offs / dual.eval(offs)[:, None]).equations
+    return max(1.0, float(np.max(dual.dual().eval(eq[:, :-1]) / -eq[:, -1])))
 
 
 # ---------------------------------------------------------------------------
 # reach along rays
 
 
-def reach_along(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
+def reach_along(df: DistanceField, a, eta, tol_factor=0.25):
     """Largest s with |delta(a + s*eta) - s| <= spacing, by scan plus bisection.
 
     ``eta`` must satisfy phi_polar(eta) = 1 (a unit Wulff-boundary direction);
@@ -541,11 +516,11 @@ def reach_along(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
     """
     out = reach_along_batch(df, np.atleast_2d(np.asarray(a, float)),
                             np.atleast_2d(np.asarray(eta, float)),
-                            s_max=s_max, tol_factor=tol_factor)
+                            tol_factor=tol_factor)
     return float(out[0])
 
 
-def reach_along_batch(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
+def reach_along_batch(df: DistanceField, a, eta, tol_factor=0.25):
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
     h = df.spacing
@@ -558,8 +533,7 @@ def reach_along_batch(df: DistanceField, a, eta, s_max=None, tol_factor=0.25):
         unit = df.dual.eval(eta)
         if np.any(np.abs(unit - 1.0) > 1e-6):
             raise InvalidArgumentError("eta must be unit in the dual norm")
-    if s_max is None:
-        s_max = float(np.max(df.values[np.isfinite(df.values)])) + 2 * h
+    s_max = float(np.max(df.values[np.isfinite(df.values)])) + 2 * h
     n_steps = max(int(np.ceil(s_max / (0.5 * h))), 4)
     svals = np.linspace(0.0, s_max, n_steps + 1)
     nray = a.shape[0]

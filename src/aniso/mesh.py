@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidMeshError
-from .norms import Norm, tangent_basis
+from .norms import Norm, tangent_basis, tangential_hessian_eigs
 
 
 class TriSurface:
@@ -32,10 +32,9 @@ class TriSurface:
     computed from the faces (angle-weighted in 3D, edge-averaged in 2D).
     """
 
-    def __init__(self, vertices, faces, normals=None, validate=True, resolution=None):
+    def __init__(self, vertices, faces, normals=None, validate=True):
         self.vertices = np.asarray(vertices, dtype=float)
         self.faces = np.asarray(faces, dtype=np.int64)
-        self.resolution = resolution
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise InvalidMeshError("vertices must be (N, 2) or (N, 3)")
         d = self.vertices.shape[1]
@@ -325,7 +324,6 @@ class CurvatureField:
 
     kappa: np.ndarray          # (N, n) principal values
     mean: np.ndarray           # (N,) scalar mean curvature (trace)
-    normals: np.ndarray        # (N, d) Euclidean unit normals used
     flagged: np.ndarray        # (N,) True where the local fit was rank deficient
     method: str = "quadratic"
 
@@ -349,12 +347,7 @@ def norm_conditioning(norm: Norm, samples=512):
     Large values mean the Wulff boundary mixes near-flat and near-singular
     regions, which defeats height-based curvature fits.
     """
-    from .norms import unit_sphere_samples
-    u = unit_sphere_samples(norm.dim, samples)
-    h = norm.hess(u)
-    t = tangent_basis(u)
-    ht = np.einsum("nik,nij,njl->nkl", t, h, t)
-    eig = np.linalg.eigvalsh(ht)
+    _, eig = tangential_hessian_eigs(norm, samples)
     lo = float(np.min(eig))
     hi = float(np.max(eig))
     return np.inf if lo <= 0 else hi / lo
@@ -394,11 +387,7 @@ def curvature(s: TriSurface, norm: Norm, method="auto", ring=2) -> CurvatureFiel
     if ring < 1:
         raise InvalidArgumentError("ring must be at least 1")
     if method == "auto":
-        cond = getattr(norm, "_conditioning_cache", None)
-        if cond is None:
-            cond = norm_conditioning(norm)
-            object.__setattr__(norm, "_conditioning_cache", cond)
-        method = "quadratic" if cond <= 100.0 else "normal-fit"
+        method = "quadratic" if norm_conditioning(norm) <= 100.0 else "normal-fit"
     if s.dim == 2:
         return _curvature_2d(s, norm)
     indptr, indices = _ring_lists(s, ring)
@@ -429,8 +418,7 @@ def curvature(s: TriSurface, norm: Norm, method="auto", ring=2) -> CurvatureFiel
             kap[idx] = np.stack([(tr - root) / 2.0, (tr + root) / 2.0], axis=-1)
             mean[idx] = tr
     _fill_flagged(kap, mean, flagged, s)
-    return CurvatureField(kappa=kap, mean=mean, normals=s.normals.copy(),
-                          flagged=flagged, method=method)
+    return CurvatureField(kappa=kap, mean=mean, flagged=flagged, method=method)
 
 
 def _ring_lists(s: TriSurface, ring):
@@ -520,8 +508,8 @@ def _curvature_2d(s: TriSurface, norm: Norm):
     tdt = np.einsum("ni,nij,nj->n", t, h, t)
     kap = (kappa_e * tdt)[:, None]
     flagged = nxt < 0
-    return CurvatureField(kappa=kap, mean=kap[:, 0].copy(), normals=s.normals.copy(),
-                          flagged=flagged, method="circumcircle")
+    return CurvatureField(kappa=kap, mean=kap[:, 0].copy(), flagged=flagged,
+                          method="circumcircle")
 
 
 def _fill_flagged(kap, mean, flagged, s):

@@ -39,6 +39,8 @@ from .errors import (
 )
 
 _EPS_ZERO = 1e-300
+# stationarity tolerance of the numeric dual-norm solver
+_SOLVER_TOL = 1e-10
 
 
 def _as_points(v, dim):
@@ -89,11 +91,9 @@ class Norm:
         if not self.smooth:
             raise UnsupportedOperationError(f"{self.family} norm has no Hessian")
         v = _as_points(v, self.dim)
-        single = v.ndim == 1
         flat = v.reshape(-1, self.dim)
         self._check_grad_domain(flat)
-        out = self._hess(flat).reshape(v.shape + (self.dim,))
-        return out
+        return self._hess(flat).reshape(v.shape + (self.dim,))
 
     def dual(self) -> "DualNorm":
         return DualNorm(self)
@@ -520,14 +520,10 @@ class DualNorm(Norm):
 
     family = "dual"
 
-    def __init__(self, base: Norm, solver_tolerance=1e-10, force_numeric=False):
+    def __init__(self, base: Norm, force_numeric=False):
         super().__init__(base.dim)
         self.base = base
-        self.solver_tolerance = float(solver_tolerance)
         self.partner = None if force_numeric else base._dual_partner()
-        # maximizer memo for repeated single-direction queries on the numeric
-        # path; dict mutation is atomic under the GIL, so shared reads are safe
-        self._maximizer_cache = {}
         if self.partner is not None:
             self.smooth = self.partner.smooth
             self.strictly_convex = self.partner.strictly_convex
@@ -549,8 +545,7 @@ class DualNorm(Norm):
         if self.base.family == "linf":
             return self._crystalline_maximizer_linf(v)
         if self.partner is not None:
-            g = self.partner._grad(v)
-            return g
+            return self.partner._grad(v)
         _, vmax = self._maximize(v, check_unique=True)
         return vmax
 
@@ -601,15 +596,10 @@ class DualNorm(Norm):
 
     # -- numeric engine ----------------------------------------------------
 
-    def _maximize(self, u, check_unique=False, max_iter=500):
+    def _maximize(self, u, check_unique=False):
         """Maximize u . v over { phi(v) = 1 }; returns (values, maximizers)."""
         base = self.base
         n, d = u.shape
-        if n == 1:
-            key = u.tobytes()
-            hit = self._maximizer_cache.get(key)
-            if hit is not None:
-                return hit[0].copy(), hit[1].copy()
         starts = _fixed_restart_directions(d)                # (R, d)
         r = starts.shape[0]
         v = np.broadcast_to(starts[None, :, :], (n, r, d)).reshape(n * r, d).copy()
@@ -617,7 +607,7 @@ class DualNorm(Norm):
         uu = np.broadcast_to(u[:, None, :], (n, r, d)).reshape(n * r, d)
         alpha = np.full(n * r, 0.5)
         val = np.sum(uu * v, axis=-1)
-        for _ in range(max_iter):
+        for _ in range(500):
             g = base._grad(v)
             gn = g / np.linalg.norm(g, axis=-1, keepdims=True)
             tang = uu - np.sum(uu * gn, axis=-1, keepdims=True) * gn
@@ -678,7 +668,7 @@ class DualNorm(Norm):
         resid = resid_all.reshape(n, r)
         # select the best value among stationary restarts; a non-stationary
         # restart beating every stationary one means a genuine failure
-        tol = 1e3 * self.solver_tolerance
+        tol = 1e3 * _SOLVER_TOL
         stationary = resid <= tol * (1.0 + np.abs(vals))
         if not stationary.any(axis=1).all():
             worst = np.flatnonzero(~stationary.any(axis=1))
@@ -699,17 +689,15 @@ class DualNorm(Norm):
         if check_unique:
             near = stationary & (
                 vals > out_val[:, None]
-                - 10.0 * self.solver_tolerance * (1.0 + np.abs(out_val))[:, None])
+                - 10.0 * _SOLVER_TOL * (1.0 + np.abs(out_val))[:, None])
             for i in range(n):
                 cand = vs[i, near[i]]
                 if cand.shape[0] > 1:
                     spread = np.max(np.linalg.norm(cand - out_v[i], axis=-1))
-                    if spread > 1e4 * self.solver_tolerance:
+                    if spread > 1e4 * _SOLVER_TOL:
                         raise NonUniqueMaximizerError(
                             f"ascent restarts disagree by {spread:.2e} at comparable objective values"
                         )
-        if n == 1 and len(self._maximizer_cache) < 4096:
-            self._maximizer_cache[u.tobytes()] = (out_val.copy(), out_v.copy())
         return out_val, out_v
 
 
@@ -724,10 +712,6 @@ class ConvexityCertificate:
     gamma: float
     sample_count: int
     min_location: np.ndarray
-
-    @property
-    def uniformly_convex(self):
-        return self.gamma > 0.0
 
 
 def unit_sphere_samples(dim, count):
@@ -765,13 +749,16 @@ def convexity_certificate(norm: Norm, samples=1000) -> ConvexityCertificate:
         raise UnsupportedOperationError(f"{norm.family} norm is not C^2")
     if samples < 100:
         raise InvalidArgumentError("need at least 100 sphere samples")
+    u, eig = tangential_hessian_eigs(norm, samples)
+    k = int(np.argmin(eig[:, 0]))
+    return ConvexityCertificate(gamma=float(eig[k, 0]), sample_count=samples, min_location=u[k])
+
+
+def tangential_hessian_eigs(norm: Norm, samples):
+    """Sphere sample u and the ascending eigenvalues of hess(phi)(u) on u-perp."""
     u = unit_sphere_samples(norm.dim, samples)
-    h = norm.hess(u)
     t = tangent_basis(u)
-    ht = np.einsum("nik,nij,njl->nkl", t, h, t)
-    eig = np.linalg.eigvalsh(ht)[..., 0]
-    k = int(np.argmin(eig))
-    return ConvexityCertificate(gamma=float(eig[k]), sample_count=samples, min_location=u[k])
+    return u, np.linalg.eigvalsh(np.einsum("nik,nij,njl->nkl", t, norm.hess(u), t))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import GeometryError, InvalidArgumentError
 from .mesh import TriSurface
-from .norms import Norm, SmoothedMaxNorm, WeightedLpNorm, parse_norm
+from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, parse_norm, tangent_basis,
+                    unit_sphere_samples)
 from .wulff import WulffShape, circle_points, closed_loop_faces, icosphere
 from .grid import Translate, Union
 
@@ -41,7 +42,6 @@ class ShapeSpec:
     neck_width: float = 0.1
     count: int = 2
     centers: tuple = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("wulff", "perturbed-wulff", "two-bubble", "tangent-union"):
@@ -262,7 +262,6 @@ class _TwoBubbleProfile:
         return np.maximum(blended, rho_union)
 
     def validate(self, samples=4096):
-        from .norms import unit_sphere_samples
         u = unit_sphere_samples(self.dim, samples)
         rho = self(u)
         if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
@@ -366,7 +365,6 @@ def _gen_two_bubble(spec, resolution):
 
 def _radial_graph_normals(u, rho, profile):
     """Outward normals of x = rho(u) u: proportional to u - (grad_S rho)/rho."""
-    from .norms import tangent_basis
     t = tangent_basis(u)                            # (N, d, d-1)
     dt = 1e-5
     nk = t.shape[-1]
@@ -420,7 +418,6 @@ def _gen_tangent_union(spec, resolution):
 
 def radial_perimeter(norm, rho_fn, n_dirs=None):
     """Anisotropic perimeter of the radial graph rho(u) u by direction quadrature."""
-    from .norms import tangent_basis, unit_sphere_samples
     dim = norm.dim
     if dim == 2:
         n = 200_000 if n_dirs is None else n_dirs
@@ -609,8 +606,6 @@ def parse_shape(text, dim, default_norm=None) -> ShapeSpec:
             args["neck_width"] = float(val)
         elif key == "k":
             args["count"] = int(val)
-        elif key == "seed":
-            args["seed"] = int(val)
         else:
             raise InvalidArgumentError(f"unknown shape key {key!r}")
     return ShapeSpec(**args)

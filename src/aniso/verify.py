@@ -61,6 +61,9 @@ from .shapes import (
 from .wulff import WulffShape, crystalline_polytope, monte_carlo_volume
 
 
+# erosion depths rbar - frac * rbar at which run_bubbling counts bubbles
+_PROBE_FRACS = (0.05, 0.10, 0.15)
+
 DEFAULTS = {
     2: {"spacing_frac": 1 / 100, "resolution": 2048, "tol_identity": 0.010,
         "tol_erosion": 0.015, "tol_minkowski": 0.03},
@@ -115,8 +118,8 @@ class VerificationReport:
     def passed(self):
         return all(r["passed"] for r in self.rows)
 
-    def to_dict(self, include_timing=False):
-        out = {
+    def to_dict(self):
+        return {
             "experiment_id": self.experiment_id,
             "inputs": self.inputs,
             "rows": self.rows,
@@ -124,9 +127,6 @@ class VerificationReport:
             "extras": _jsonable(self.extras),
             "passed": self.passed,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
     def save_json(self, path):
         atomic_write(path, json.dumps(self.to_dict(), sort_keys=True, indent=1))
@@ -171,7 +171,6 @@ class PowerLawFit:
     exponent: float
     amplitude: float
     residual: float
-    gaps: tuple
     dropped: int = 0
 
 
@@ -189,7 +188,7 @@ def fit_power_law(gaps, values) -> PowerLawFit:
     coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     resid = float(np.sqrt(res[0] / len(lx))) if res.size else 0.0
     return PowerLawFit(exponent=float(coef[0]), amplitude=float(np.exp(coef[1])),
-                       residual=resid, gaps=tuple(gaps.tolist()), dropped=dropped)
+                       residual=resid, dropped=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +239,7 @@ def _surface_stats(g: GeneratedShape, resolution=None):
 # experiment: Wulff volume identity
 
 
-def check_wulff_identity(norm: Norm, r=1.0, resolution=None, mc_samples=500_000,
-                         seed=0) -> VerificationReport:
+def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> VerificationReport:
     """(n+1)|W_r| against r * P(W_r), with a Monte Carlo volume cross-check."""
     t0 = time.perf_counter()
     dim = norm.dim
@@ -264,7 +262,7 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, mc_samples=500_000,
         per = aniso_area(mesh, norm)
         tol = DEFAULTS[dim]["tol_identity"]
         rep.add("identity-mesh", "volume_identity", dim * vol, r * per, tol)
-        mc, se = monte_carlo_volume(w, samples=mc_samples, seed=seed)
+        mc, se = monte_carlo_volume(w, samples=500_000, seed=seed)
         rep.add("volume-vs-monte-carlo", "volume_identity", mc, vol,
                 max(0.01, 4 * se / mc))
         rep.extras.update({"volume": vol, "perimeter": per,
@@ -278,11 +276,11 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, mc_samples=500_000,
 
 
 def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
-                       resolution=None, c_cal=None, dev_floor=0.05):
+                       resolution=None, c_cal=None):
     """Measure eroded volumes against both closed-form predictors.
 
     Returns (report, PowerLawFit).  For inputs with curvature deviation above
-    ``dev_floor`` the pass tolerance is widened by c_cal * dev^(1/n) when a
+    0.05 the pass tolerance is widened by c_cal * dev^(1/n) when a
     calibration constant is supplied; with dev > 1 the almost-CMC hypothesis
     fails and rows are recorded without a pass requirement.  Radii at or
     past rbar raise InvalidArgumentError.
@@ -314,7 +312,7 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     if not in_regime:
         rep.flags.append("deviation-above-almost-cmc-domain")
     tol = DEFAULTS[dim]["tol_erosion"]
-    if dev > dev_floor and c_cal is not None:
+    if dev > 0.05 and c_cal is not None:
         tol = tol + c_cal * dev ** (1.0 / n)
     vox = rasterize(g.solid, spacing)
     df = distance_transform(vox, norm.dual(), k=stencil_order)
@@ -363,6 +361,8 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
     rbar = stats["rbar"]
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     pairs = [(0.2, 0.5), (0.1, 0.3)] if pairs is None else pairs
+    if not all(0 < s_frac * rbar < r_frac * rbar < rbar for s_frac, r_frac in pairs):
+        raise InvalidArgumentError("pairs must satisfy 0 < s < r < rbar")
     rep = VerificationReport(
         "minkowski",
         {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,
@@ -376,8 +376,6 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
     r_ref = 0.5 * rbar
     for s_frac, r_frac in pairs:
         s, r = s_frac * rbar, r_frac * rbar
-        if not (0 < s < r < rbar):
-            raise InvalidArgumentError("pairs must satisfy 0 < s < r < rbar")
         er = erode(df, r)
         dil = dilate(er, norm.dual(), s, k=stencil_order)
         pred = stats["volume"] * ((rbar - (r - s)) / rbar) ** (n + 1)
@@ -448,8 +446,7 @@ def check_disintegration(shape, resolution=None, spacing=None, stencil_order=3,
 
 def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
                  base_spec: ShapeSpec = None, spacing=None, resolution=None,
-                 probe_fracs=(0.05, 0.10, 0.15), stencil_order=3,
-                 dim=3) -> VerificationReport:
+                 stencil_order=3, dim=3) -> VerificationReport:
     """Shrinking-neck (or shrinking-perturbation) families along a norm sequence.
 
     For each h builds the set, erodes its distance field near depth rbar to
@@ -473,7 +470,7 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
         "bubbling",
         {"sequence": seq_kind, "h_list": list(h_list), "base_kind": base_spec.kind,
          "rbar": rbar, "dim": dim, "spacing": spacing,
-         "probe_fracs": list(probe_fracs), "stencil_order": stencil_order},
+         "probe_fracs": list(_PROBE_FRACS), "stencil_order": stencil_order},
     )
     seq_rows = []
     for h in h_list:
@@ -490,11 +487,11 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
         vox = rasterize(g.solid, spacing, margin=3)
         df = distance_transform(vox, norm_h.dual(), k=stencil_order)
         counts = []
-        for frac in probe_fracs:
+        for frac in _PROBE_FRACS:
             er = erode(df, rbar - frac * rbar)
             counts.append(components(er)[1])
         stable = len(set(counts)) == 1
-        mid = probe_fracs[len(probe_fracs) // 2]
+        mid = _PROBE_FRACS[len(_PROBE_FRACS) // 2]
         er = erode(df, rbar - mid * rbar)
         labels, cnt = components(er)
         centers = [vox.centers(labels == i + 1).mean(axis=0) for i in range(cnt)]
@@ -540,16 +537,17 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
 # plots
 
 
-def plot_erosion_fit(path, rbar, radii, measured, fit: PowerLawFit):
-    gaps = np.asarray(rbar) - np.asarray(radii)
-    xs = np.asarray(gaps)
+def plot_erosion_fit(path, gaps, measured, fit: PowerLawFit):
+    """Log-log plot of eroded volumes against rbar - r, with the fitted law."""
+    xs = np.asarray(gaps, float)
     _svg.line_plot(
         path,
         {"measured": (xs, np.asarray(measured)),
-         f"fit slope {fit.exponent:.2f}": (xs, fit.amplitude * xs**fit.exponent)},
+         f"slope {fit.exponent:.2f}": (xs, fit.amplitude * xs**fit.exponent)},
         title="eroded volume vs gap", xlabel="rbar - r", ylabel="volume", loglog=True)
 
 
-def plot_sequence(path, hs, values, label):
-    _svg.line_plot(path, {label: (np.asarray(hs, float), np.asarray(values, float))},
-                   title=f"{label} along the sequence", xlabel="h", ylabel=label)
+def plot_sequence(path, hs, series, title, ylabel):
+    """Plot named series (name -> values per h) along the norm sequence."""
+    _svg.line_plot(path, {name: (hs, values) for name, values in series.items()},
+                   title=title, xlabel="h", ylabel=ylabel)

@@ -66,8 +66,8 @@ def circle_points(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def closed_loop_faces(count, offset=0):
-    idx = np.arange(count) + offset
+def closed_loop_faces(count):
+    idx = np.arange(count)
     return np.stack([idx, np.roll(idx, -1)], axis=-1)
 
 
@@ -93,14 +93,12 @@ class WulffShape:
     def is_crystalline(self):
         return self.norm.family in ("l1", "linf")
 
-    def contains(self, x, slack=0.0):
-        out = self.contains_points(np.asarray(x, float), slack=slack)
+    def contains(self, x):
+        out = self.contains_points(x)
         return bool(out) if np.ndim(out) == 0 else out
 
-    def contains_points(self, pts, slack=0.0):
-        pts = np.asarray(pts, dtype=float)
-        vals = self.dual.eval(pts)
-        return vals <= self.r + slack
+    def contains_points(self, pts):
+        return self.dual.eval(np.asarray(pts, dtype=float)) <= self.r
 
     def level_at(self, pts):
         """Signed boundary offset phi_polar(x) - r: negative inside, and equal
@@ -138,21 +136,10 @@ class WulffShape:
             count = 512 if resolution is None else int(resolution)
             u = circle_points(count)
             faces = closed_loop_faces(count)
-        return TriSurface(self.r * self.norm.grad(u), faces, normals=u,
-                          resolution=level if self.dim == 3 else count)
+        return TriSurface(self.r * self.norm.grad(u), faces, normals=u)
 
     def polytope(self):
         return crystalline_polytope(self.norm, self.r)
-
-    def volume(self, method="mesh-divergence", resolution=None, samples=2_000_000, seed=0):
-        return wulff_volume(self, method=method, resolution=resolution, samples=samples, seed=seed)
-
-    def perimeter(self, resolution=None):
-        return wulff_perimeter(self, resolution=resolution)
-
-
-def contains(w: WulffShape, x, slack=0.0):
-    return w.contains(x, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +263,16 @@ def _order_facet(pts, normal, ids):
 # volume and perimeter
 
 
-def wulff_volume(w: WulffShape, method="mesh-divergence", resolution=None,
-                 samples=2_000_000, seed=0):
-    """|W_r| by mesh divergence, exact polytope arithmetic, or Monte Carlo."""
+def wulff_volume(w: WulffShape, resolution=None):
+    """|W_r| by mesh divergence, or exact polytope arithmetic when crystalline."""
     if w.is_crystalline:
         return w.polytope().volume()
-    if method == "mesh-divergence":
-        return enclosed_volume(w.boundary_mesh(resolution=resolution))
-    if method == "monte-carlo":
-        val, _ = monte_carlo_volume(w, samples=samples, seed=seed)
-        return val
-    raise InvalidArgumentError("method must be 'mesh-divergence' or 'monte-carlo'")
+    return enclosed_volume(w.boundary_mesh(resolution=resolution))
 
 
-def monte_carlo_volume(shape, samples=2_000_000, seed=0, bounds=None):
+def monte_carlo_volume(shape, samples=2_000_000, seed=0):
     """Membership-sampling volume estimate: (value, standard error)."""
-    lo, hi = shape.bounds() if bounds is None else bounds
+    lo, hi = shape.bounds()
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(samples, len(lo)))
     hits = shape.contains_points(pts)
@@ -312,8 +293,9 @@ def wulff_perimeter(w: WulffShape, resolution=None):
 # 2D SVG export
 
 
-def polygon_svg(surfaces, path, size=640, labels=None, stroke="black"):
-    """Write closed 2D boundary curves to a standalone SVG file."""
+def polygon_svg(surfaces, path, labels=None):
+    """Write closed 2D boundary curves to a standalone 640-pixel SVG file."""
+    size = 640
     surfaces = surfaces if isinstance(surfaces, (list, tuple)) else [surfaces]
     allv = np.concatenate([s.vertices for s in surfaces])
     lo = allv.min(axis=0); hi = allv.max(axis=0)
@@ -325,7 +307,7 @@ def polygon_svg(surfaces, path, size=640, labels=None, stroke="black"):
         return q[:, 0] * size, (1.0 - q[:, 1]) * size
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
-    palette = [stroke, "#b22", "#26b", "#282", "#a2a"]
+    palette = ["black", "#b22", "#26b", "#282", "#a2a"]
     for k, s in enumerate(surfaces):
         order = _loop_order(s)
         for loop in order:

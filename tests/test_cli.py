@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from aniso import ConfigError, EuclideanNorm, WulffShape, rasterize
+from aniso import ConfigError, ConvergenceError, EuclideanNorm, WulffShape, rasterize
 from aniso.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main, parse_config
 
 
@@ -103,7 +103,8 @@ class TestRun:
     @pytest.mark.parametrize("line", [
         "spacing=nan", "spacing=-1", "spacing=inf", "radii=0.3,nan", "radii=0,0.6",
         "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",
-        "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0"])
+        "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0",
+        "sequence=foo", "hsteps=0,1"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
@@ -117,6 +118,15 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "rbar" in report["reports"][0]["error"]
+
+    def test_pairs_out_of_order_recorded(self, tmp_path, capsys):
+        # s > r is only checked by the driver; from the config it is a config error
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"experiment=minkowski\ndim=2\npairs=0.5:0.2\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert "pairs" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "0 < s < r < rbar" in report["reports"][0]["error"]
 
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
@@ -133,6 +143,16 @@ class TestWulffCommand:
         mesh = TriSurface.load_text(out)
         assert len(mesh.vertices) == 128
         assert (tmp_path / "w.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("extra", [["--out", "/nonexistent/dir/w.txt"],
+                                       ["--r", "-1"], ["--norm", "bogus"],
+                                       ["--dim", "3", "--svg", "w.svg"]],
+                             ids=["out", "radius", "norm", "svg-3d"])
+    def test_bad_input_exits_config(self, tmp_path, extra, capsys):
+        args = ["wulff", "--norm", "euclidean", "--dim", "2", "--out", str(tmp_path / "w.txt")]
+        assert main(args + extra) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_crystalline_polytope_path(self, tmp_path):
         out = tmp_path / "cube.txt"
@@ -155,6 +175,35 @@ class TestDtCommand:
         df = DistanceField.load(out)
         assert df.values.max() == pytest.approx(1.0, rel=0.05)
         assert df.stencil_order == 2
+
+    @pytest.mark.parametrize("case", ["missing", "spacing", "norm", "magic", "margin",
+                                      "truncated", "out"])
+    def test_bad_input_exits_config(self, tmp_path, case, capsys):
+        vox_path = tmp_path / "ball.vox"
+        rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=1).save(vox_path)
+        if case == "magic":
+            vox_path.write_bytes(b"XVOX" + vox_path.read_bytes()[4:])
+        if case == "truncated":
+            vox_path.write_bytes(vox_path.read_bytes()[:-3])
+        args = {"missing": ["--in", str(tmp_path / "missing.vox")],
+                "spacing": ["--spacing", "-1"], "norm": ["--norm", "bogus"],
+                "margin": ["--margin", "4"], "out": ["--out", "/nonexistent/dir/d.bin"]}
+        argv = ["dt", "--in", str(vox_path), "--norm", "euclidean",
+                "--out", str(tmp_path / "d.bin")] + args.get(case, [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_relaxation_failure_exits_fail(self, tmp_path, monkeypatch):
+        vox_path = tmp_path / "ball.vox"
+        rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1).save(vox_path)
+
+        def no_fixpoint(*args, **kwargs):
+            raise ConvergenceError("distance relaxation did not converge in 128 rounds")
+
+        monkeypatch.setattr("aniso.cli.distance_transform", no_fixpoint)
+        assert main(["dt", "--in", str(vox_path), "--norm", "euclidean",
+                     "--out", str(tmp_path / "d.bin")]) == EXIT_FAIL
 
     def test_console_script_entry(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "aniso.cli", "--help"],

@@ -315,6 +315,16 @@ class TestStencil:
         g = np.gcd.reduce(np.abs(offs), axis=1)
         assert np.all(g == 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chamfer_factor_exact_euclidean_2d(self, k):
+        # the stencil ball is the polygon on the unit circle through the
+        # primitive directions; its worst ratio is 1/cos of half the widest gap
+        offs = stencil_offsets(2, k)
+        ang = np.sort(np.arctan2(offs[:, 1], offs[:, 0]))
+        gap = np.max(np.diff(np.append(ang, ang[0] + 2 * np.pi)))
+        assert chamfer_factor(EuclideanNorm(2).dual(), 2, k) == pytest.approx(
+            1.0 / np.cos(gap / 2), abs=1e-12)
+
     def test_chamfer_factor_ordering(self):
         dual = EuclideanNorm(2).dual()
         f1 = chamfer_factor(dual, 2, 1)

@@ -374,6 +374,11 @@ class TestShapeGrammar:
         with pytest.raises(InvalidArgumentError):
             parse_shape("wulff radius=2", dim=2, default_norm=EuclideanNorm(2))
 
+    def test_seed_key_rejected(self):
+        # no generator is random, so a seed would be accepted and ignored
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            parse_shape("wulff r=1 seed=3", dim=2, default_norm=EuclideanNorm(2))
+
     def test_missing_norm_rejected(self):
         with pytest.raises(InvalidArgumentError):
             parse_shape("wulff r=2", dim=2)
