@@ -32,8 +32,5 @@ for row in rows:
 print(f"\nlimit perimeter per bubble: {rep.extras['limit_perimeter_per_bubble']:.4f}")
 print(f"all checks passed: {rep.passed}   flags: {rep.flags or 'none'}")
 
-plot_sequence(os.path.join(OUT, "bubbling_symdiff.svg"), [row["h"] for row in rows],
-              {"symmetric difference": [row["symdiff"] for row in rows],
-               "perimeter gap": [row["per_gap"] for row in rows]},
-              title="convergence along the norm sequence", ylabel="volume / perimeter gap")
+plot_sequence(os.path.join(OUT, "bubbling_symdiff.svg"), rows)
 print(f"convergence plot written to {os.path.join(OUT, 'bubbling_symdiff.svg')}")

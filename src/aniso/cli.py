@@ -12,7 +12,6 @@ low-confidence result, 64 configuration error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -21,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnisoError, ConfigError, ConvergenceError, InvalidArgumentError
+from .errors import (
+    AnisoError,
+    ConfigError,
+    ConvergenceError,
+    DepthRangeError,
+    InvalidArgumentError,
+)
 from .grid import VoxelSet, distance_transform
 from .norms import Norm, parse_norm
 from .shapes import ShapeSpec, norm_sequence, parse_shape
@@ -167,17 +172,15 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
         return check_wulff_identity(cfg.norm_obj(), r=spec.r,
                                     resolution=cfg.resolution, seed=cfg.seed)
     if experiment == "erosion":
-        with _config_values(cfg.radii):
-            rep, fit = check_erosion_laws(cfg.shape_spec(), radii=cfg.radii,
-                                          spacing=cfg.spacing, resolution=cfg.resolution,
-                                          stencil_order=cfg.stencil_order)
+        rep, fit = check_erosion_laws(cfg.shape_spec(), radii=cfg.radii,
+                                      spacing=cfg.spacing, resolution=cfg.resolution,
+                                      stencil_order=cfg.stencil_order)
         rep.extras["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         return rep
     if experiment == "minkowski":
-        with _config_values(cfg.pairs):
-            return check_minkowski_law(cfg.shape_spec(), pairs=cfg.pairs,
-                                       spacing=cfg.spacing, resolution=cfg.resolution,
-                                       stencil_order=cfg.stencil_order)
+        return check_minkowski_law(cfg.shape_spec(), pairs=cfg.pairs,
+                                   spacing=cfg.spacing, resolution=cfg.resolution,
+                                   stencil_order=cfg.stencil_order)
     if experiment == "disintegration":
         return check_disintegration(cfg.shape_spec(), resolution=cfg.resolution,
                                     spacing=cfg.spacing,
@@ -191,18 +194,6 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
                             resolution=cfg.resolution, dim=cfg.dim,
                             stencil_order=cfg.stencil_order)
     raise ConfigError(f"unknown experiment {experiment!r}")
-
-
-@contextlib.contextmanager
-def _config_values(values):
-    """Radii and pairs meet rbar only once the shape is built: when they came
-    from the config, the driver's InvalidArgumentError is a config error."""
-    try:
-        yield
-    except InvalidArgumentError as exc:
-        if values is None:
-            raise
-        raise ConfigError(str(exc)) from exc
 
 
 def run(cfg: RunConfig):
@@ -226,7 +217,9 @@ def run(cfg: RunConfig):
         except AnisoError as exc:
             reports.append({"experiment_id": experiment, "error": str(exc),
                             "passed": False})
-            if isinstance(exc, ConfigError):
+            # radii and pairs meet rbar only once the shape is built; the
+            # default ones never fall outside, so a DepthRangeError is the config's
+            if isinstance(exc, (ConfigError, DepthRangeError)):
                 print(f"config error: {experiment}: {exc}", file=sys.stderr)
                 status = max(status, EXIT_CONFIG)
             else:
@@ -259,12 +252,7 @@ def _plots_for(rep, plotdir):
                          rep.extras["measured_volumes"],
                          PowerLawFit(**rep.extras["power_law"]))
     if rep.experiment_id == "bubbling" and "sequence_rows" in rep.extras:
-        rows = rep.extras["sequence_rows"]
-        plot_sequence(os.path.join(plotdir, "bubbling.svg"), [row["h"] for row in rows],
-                      {"symmetric difference": [row["symdiff"] for row in rows],
-                       "perimeter gap": [row["per_gap"] for row in rows]},
-                      title="convergence along the norm sequence",
-                      ylabel="volume / perimeter gap")
+        plot_sequence(os.path.join(plotdir, "bubbling.svg"), rep.extras["sequence_rows"])
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class MarginError(AnisoError):
     """A voxel operation would touch or cross the grid boundary margin."""
 
 
+class DepthRangeError(InvalidArgumentError):
+    """Erosion radii or Minkowski pairs fall outside 0 < s < r < rbar."""
+
+
 class InsufficientDataError(AnisoError):
     """Not enough samples remain for a fit."""
 

@@ -132,7 +132,7 @@ class VoxelSet:
                 (spacing,) = struct.unpack("<d", fh.read(8))
             except struct.error as exc:
                 raise InvalidArgumentError("truncated voxel file header") from exc
-            total = int(np.prod(shape))
+            total = math.prod(shape)
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
         if min(shape, default=0) < 1 or len(packed) != (total + 7) // 8:
             raise InvalidArgumentError("voxel payload does not match the grid shape")

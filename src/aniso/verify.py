@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _svg
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import DepthRangeError, InsufficientDataError, InvalidArgumentError
 from .grid import (
     Translate,
     Union,
@@ -283,7 +283,7 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     0.05 the pass tolerance is widened by c_cal * dev^(1/n) when a
     calibration constant is supplied; with dev > 1 the almost-CMC hypothesis
     fails and rows are recorded without a pass requirement.  Radii at or
-    past rbar raise InvalidArgumentError.
+    past rbar raise DepthRangeError.
     """
     t0 = time.perf_counter()
     if isinstance(shape, ShapeSpec) and resolution is None:
@@ -297,7 +297,7 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     radii = np.asarray([0.2, 0.3, 0.4, 0.5, 0.6]) * rbar if radii is None else np.asarray(radii, float)
     if np.any(radii >= rbar):
-        raise InvalidArgumentError(
+        raise DepthRangeError(
             f"erosion radii must lie below rbar = {rbar:.6g}, got {float(np.max(radii)):.6g}")
     rep = VerificationReport(
         "erosion",
@@ -362,7 +362,7 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     pairs = [(0.2, 0.5), (0.1, 0.3)] if pairs is None else pairs
     if not all(0 < s_frac * rbar < r_frac * rbar < rbar for s_frac, r_frac in pairs):
-        raise InvalidArgumentError("pairs must satisfy 0 < s < r < rbar")
+        raise DepthRangeError("pairs must satisfy 0 < s < r < rbar")
     rep = VerificationReport(
         "minkowski",
         {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,
@@ -547,7 +547,10 @@ def plot_erosion_fit(path, gaps, measured, fit: PowerLawFit):
         title="eroded volume vs gap", xlabel="rbar - r", ylabel="volume", loglog=True)
 
 
-def plot_sequence(path, hs, series, title, ylabel):
-    """Plot named series (name -> values per h) along the norm sequence."""
-    _svg.line_plot(path, {name: (hs, values) for name, values in series.items()},
-                   title=title, xlabel="h", ylabel=ylabel)
+def plot_sequence(path, rows):
+    """Symmetric difference and perimeter gap of run_bubbling's sequence rows against h."""
+    hs = [row["h"] for row in rows]
+    _svg.line_plot(path, {"symmetric difference": (hs, [row["symdiff"] for row in rows]),
+                          "perimeter gap": (hs, [row["per_gap"] for row in rows])},
+                   title="convergence along the norm sequence", xlabel="h",
+                   ylabel="volume / perimeter gap")

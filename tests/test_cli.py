@@ -1,10 +1,18 @@
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from aniso import ConfigError, ConvergenceError, EuclideanNorm, WulffShape, rasterize
+from aniso import (
+    ConfigError,
+    ConvergenceError,
+    EuclideanNorm,
+    InvalidArgumentError,
+    WulffShape,
+    rasterize,
+)
 from aniso.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main, parse_config
 
 
@@ -131,6 +139,17 @@ class TestRun:
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
 
+    def test_driver_error_with_config_radii_exits_fail(self, tmp_path, monkeypatch):
+        # only the rbar checks are the config's fault, not every driver error
+        def broken_driver(*args, **kwargs):
+            raise InvalidArgumentError("spacing leaves no interior voxel")
+
+        monkeypatch.setattr("aniso.cli.check_erosion_laws", broken_driver)
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text("experiment=erosion\ndim=2\nradii=0.1,0.2,0.3,0.4\n"
+                            f"outdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_FAIL
+
 
 class TestWulffCommand:
     def test_mesh_export(self, tmp_path):
@@ -177,7 +196,7 @@ class TestDtCommand:
         assert df.stencil_order == 2
 
     @pytest.mark.parametrize("case", ["missing", "spacing", "norm", "magic", "margin",
-                                      "truncated", "out"])
+                                      "truncated", "overflow", "out"])
     def test_bad_input_exits_config(self, tmp_path, case, capsys):
         vox_path = tmp_path / "ball.vox"
         rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=1).save(vox_path)
@@ -185,6 +204,9 @@ class TestDtCommand:
             vox_path.write_bytes(b"XVOX" + vox_path.read_bytes()[4:])
         if case == "truncated":
             vox_path.write_bytes(vox_path.read_bytes()[:-3])
+        if case == "overflow":
+            # header only, with dimensions whose product wraps past 2**63 in int64
+            vox_path.write_bytes(b"AVOX\x01<" + struct.pack("<B2q3d", 2, 2**32, 2**32, 0, 0, 0.1))
         args = {"missing": ["--in", str(tmp_path / "missing.vox")],
                 "spacing": ["--spacing", "-1"], "norm": ["--norm", "bogus"],
                 "margin": ["--margin", "4"], "out": ["--out", "/nonexistent/dir/d.bin"]}
