@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,9 +200,10 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
 def run(cfg: RunConfig):
     """Execute the configured experiments; write report, tables and plots.
 
-    Returns the process exit status.  report.json is byte-identical across
-    runs with the same config and seed; wall-clock timings go to the
-    runtime.json sidecar.
+    Returns the process exit status.  A driver that raises gets an error
+    entry in place of its report, and the remaining experiments still run.
+    report.json is byte-identical across runs with the same config and seed;
+    wall-clock timings go to the runtime.json sidecar.
     """
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -214,9 +216,13 @@ def run(cfg: RunConfig):
     for experiment in experiments:
         try:
             rep = _run_one(cfg, experiment)
-        except AnisoError as exc:
-            reports.append({"experiment_id": experiment, "error": str(exc),
-                            "passed": False})
+        except Exception as exc:
+            if isinstance(exc, AnisoError):
+                error = str(exc)
+            else:
+                traceback.print_exc()
+                error = f"{type(exc).__name__}: {exc}"
+            reports.append({"experiment_id": experiment, "error": error, "passed": False})
             # radii and pairs meet rbar only once the shape is built; the
             # default ones never fall outside, so a DepthRangeError is the config's
             if isinstance(exc, (ConfigError, DepthRangeError)):
@@ -278,6 +284,10 @@ def _cmd_wulff(args):
     try:
         if args.svg and args.dim != 2:
             raise InvalidArgumentError("SVG export is for 2D boundaries")
+        if args.resolution is not None and args.resolution < (3 if args.dim == 2 else 0):
+            raise InvalidArgumentError(
+                f"--resolution must be at least 3 points in 2D and a level >= 0 in 3D, "
+                f"got {args.resolution} in {args.dim}D")
         norm = parse_norm(args.norm, args.dim)
         w = WulffShape(norm, args.r)
         if w.is_crystalline:

@@ -183,20 +183,86 @@ class _TwoBubbleProfile:
         e1[axis] = 1.0
         self.axis = axis
         self.center_offset = self.r * norm.grad(e1)
+        self._phi_axis = float(norm.eval(e1))
         self.beta = float(np.clip(0.9 * np.sqrt(self.w / (2 * self.r)), 0.05, 0.6))
         self.radial_bound = 2.2 * self.r * float(np.max(np.abs(self.center_offset))) + self.r
 
-    # largest t with phi_polar(t u - c) <= r, vectorized bisection
+    # largest t with phi_polar(t u - c) <= r (1 + 1e-13): a 46-step bisection
+    # on [0, 2 radial_bound], guided by Newton roots so that only its steps
+    # near the exit evaluate phi_polar.  A ray whose final bracket ends are not
+    # both evaluated midpoints (or bracket ends) is bisected again unguided,
+    # so every radius is the plain bisection's, bit for bit.
     def _ball_exit(self, u, sign):
         c = sign * self.center_offset
-        lo = np.zeros(u.shape[0])
-        hi = np.full(u.shape[0], 2.0 * self.radial_bound)
+        level = self.r * (1 + 1e-13)
+        t_max = 2.0 * self.radial_bound
+        root, margin = self._newton_exit(u, c, level, t_max)
+        lo, certified = self._bisect(u, c, level, t_max, root, margin)
+        redo = ~certified
+        if np.any(redo):
+            lo[redo], _ = self._bisect(u[redo], c, level, t_max, root[redo], np.inf)
+        return lo
+
+    def _newton_exit(self, u, c, level, t_max):
+        """Newton roots of f(t) = phi_polar(t u - c) - level, and guide margins.
+
+        With x = grad phi_polar(y) at y = t u - c, phi_polar(y) = <y, x>, so one
+        maximizer solve gives both f = <y, x> - level and f' = <x, u>.  f is
+        convex with f(0) < 0, so Newton from t_max falls monotonically to the
+        exit (Dinkelbach, "On nonlinear fractional programming", 1967).  A ray
+        stops once its step is at most a quarter of the bisection quantum q, or
+        not positive (only rounding puts an iterate left of the root).  Rays
+        that do not converge in 64 steps or meet a slope that is not positive,
+        and every ray of a dual without a gradient everywhere, keep margin inf:
+        their bisection is unguided.
+        """
+        n = len(u)
+        root = np.zeros(n)
+        margin = np.full(n, np.inf)
+        if not self.dual.smooth:
+            return root, margin
+        q = t_max * 2.0**-46
+        t = np.full(n, t_max)
+        active = np.arange(n)
+        for _ in range(64):
+            ua = u[active]
+            y = t[active, None] * ua - c
+            x = self.dual.grad(y)
+            slope = np.sum(x * ua, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (np.sum(y * x, axis=-1) - level) / slope
+            t[active] -= step
+            rising = slope > 0
+            done = rising & (step <= 0.25 * q)
+            root[active[done]] = t[active[done]]
+            margin[active[done]] = np.maximum(4.0 * q, 1e-13 * self.r / slope[done])
+            active = active[rising & ~done & np.isfinite(step)]
+            if active.size == 0:
+                break
+        return root, margin
+
+    def _bisect(self, u, c, level, t_max, root, margin):
+        """The 46-step bisection; a step evaluates phi_polar only for rays whose
+        midpoint lies within margin of root, the others take mid < root.
+
+        Returns the radii and whether each ray's final lo and hi both came from
+        evaluated midpoints or the bracket ends.
+        """
+        lo = np.zeros(len(u))
+        hi = np.full(len(u), t_max)
+        lo_seen = np.ones(len(u), dtype=bool)
+        hi_seen = lo_seen.copy()
         for _ in range(46):
             mid = 0.5 * (lo + hi)
-            inside = self.dual.eval(mid[:, None] * u - c) <= self.r * (1 + 1e-13)
+            inside = mid < root
+            ev = np.abs(mid - root) <= margin
+            if np.any(ev):
+                inside[ev] = self.dual.eval(mid[ev, None] * u[ev] - c) <= level
+            lo_seen = np.where(inside, ev, lo_seen)
+            hi_seen = np.where(inside, hi_seen, ev)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
-        return lo
+        return lo, lo_seen & hi_seen
 
     def union_rho(self, u):
         ua = u[:, self.axis]
@@ -272,10 +338,23 @@ class _TwoBubbleProfile:
 
     # fast solid-level evaluation: the two balls dominate everywhere except a
     # small radial pocket around the waist, where the blend profile is added
+    #
+    # The ball on the point's side of {x_axis = 0} is always evaluated.  The
+    # far one is skipped where it cannot win: x0 = +-e_axis / phi(e_axis) lies
+    # in K, so phi_polar(y) >= <x0, y> bounds the far ball's value below by
+    # (|x_axis| + c_axis) / phi(e_axis); where that exceeds the near value,
+    # the minimum is the near value, bit for bit.
     def solid_level(self, pts):
         pts = np.asarray(pts, dtype=float)
-        lvl = np.minimum(self.dual.eval(pts - self.center_offset),
-                         self.dual.eval(pts + self.center_offset)) - self.r
+        xa = pts[..., self.axis]
+        c = np.where(xa >= 0, 1.0, -1.0)[..., None] * self.center_offset
+        near = self.dual.eval(pts - c)
+        bound = (np.abs(xa) + self.center_offset[self.axis]) / self._phi_axis
+        far = ~(bound > near * (1 + 1e-12))
+        lvl = near.copy()
+        if np.any(far):
+            lvl[far] = np.minimum(near[far], self.dual.eval(pts[far] + c[far]))
+        lvl -= self.r
         if getattr(self, "_band_rho_bound", None) is None:
             self.validate()
         rr = np.linalg.norm(pts, axis=-1)
@@ -458,6 +537,20 @@ def wulff_radial_rho(norm, r):
     return rho
 
 
+def _wulff_ball_perimeter(dual, r, n_dirs):
+    """P(W_r) = r^n * integral of phi_polar(u)^-(n+1) over the unit sphere.
+
+    On the Wulff ball rho = r / phi_polar(u), the integrand of
+    `radial_perimeter` is pointwise rho^(n+1) / r: phi(nu) dA = <x, nu> dA / r
+    is the cone volume element over r.  One polar evaluation per direction,
+    on the directions `radial_perimeter` uses, instead of 2n + 1.
+    """
+    n = dual.dim - 1
+    u = unit_sphere_samples(dual.dim, n_dirs)
+    sphere = 2 * np.pi if n == 1 else 4 * np.pi
+    return r**n * float(np.mean(dual.eval(u) ** -(n + 1))) * sphere
+
+
 def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(180, 256)):
     """P(two-bubble) = 2 P(ball) + band correction, by direction quadrature.
 
@@ -466,8 +559,8 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
     correction to twice the one-ball perimeter.
     """
     norm = profile.norm
-    p_ball = radial_perimeter(norm, wulff_radial_rho(norm, profile.r),
-                              n_dirs=n_ball if norm.dim == 3 else 100_000)
+    p_ball = _wulff_ball_perimeter(profile.dual, profile.r,
+                                   n_ball if norm.dim == 3 else 100_000)
     if norm.dim == 2:
         n = 4096
         beta = profile.beta

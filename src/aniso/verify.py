@@ -486,14 +486,14 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
         dev_h = lp_deviation(f, g.mesh, lam, p=n)
         vox = rasterize(g.solid, spacing, margin=3)
         df = distance_transform(vox, norm_h.dual(), k=stencil_order)
+        # the middle probe depth's labels also give the bubble centers
         counts = []
-        for frac in _PROBE_FRACS:
-            er = erode(df, rbar - frac * rbar)
-            counts.append(components(er)[1])
+        for i, frac in enumerate(_PROBE_FRACS):
+            probe_labels, probe_cnt = components(erode(df, rbar - frac * rbar))
+            counts.append(probe_cnt)
+            if i == len(_PROBE_FRACS) // 2:
+                labels, cnt = probe_labels, probe_cnt
         stable = len(set(counts)) == 1
-        mid = _PROBE_FRACS[len(_PROBE_FRACS) // 2]
-        er = erode(df, rbar - mid * rbar)
-        labels, cnt = components(er)
         centers = [vox.centers(labels == i + 1).mean(axis=0) for i in range(cnt)]
         union = Union(*[Translate(WulffShape(limit_norm, rbar), c) for c in centers]) \
             if centers else None

@@ -150,6 +150,38 @@ class TestRun:
                             f"outdir={tmp_path}/out\n")
         assert main(["run", str(cfg_path)]) == EXIT_FAIL
 
+    def test_unexpected_driver_exception_recorded(self, tmp_path, monkeypatch, capsys):
+        # a non-package exception is recorded for its experiment, the other
+        # experiments still run, and the run fails
+        import numpy as np
+        from aniso.verify import VerificationReport
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def passing(experiment_id):
+            def driver(*args, **kwargs):
+                rep = VerificationReport(experiment_id, {})
+                rep.add_condition("stub", "stub", True)
+                return rep
+            return driver
+
+        monkeypatch.setattr("aniso.cli.check_wulff_identity", passing("wulff-identity"))
+        monkeypatch.setattr("aniso.cli.check_erosion_laws", singular)
+        monkeypatch.setattr("aniso.cli.check_minkowski_law", passing("minkowski"))
+        monkeypatch.setattr("aniso.cli.check_disintegration", passing("disintegration"))
+        monkeypatch.setattr("aniso.cli.run_bubbling", passing("bubbling"))
+        cfg_path = tmp_path / "all.cfg"
+        cfg_path.write_text(f"experiment=all\ndim=2\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_FAIL
+        reports = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+        assert [r["experiment_id"] for r in reports] == [
+            "wulff-identity", "erosion", "minkowski", "disintegration", "bubbling"]
+        assert reports[1] == {"experiment_id": "erosion", "passed": False,
+                              "error": "LinAlgError: Singular matrix"}
+        assert all(r["passed"] for i, r in enumerate(reports) if i != 1)
+        assert "Traceback" in capsys.readouterr().err
+
 
 class TestWulffCommand:
     def test_mesh_export(self, tmp_path):
@@ -172,6 +204,24 @@ class TestWulffCommand:
         assert main(args + extra) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim,resolution", [(2, 0), (2, 2), (2, -5), (3, -1)])
+    def test_bad_resolution_exits_config(self, tmp_path, dim, resolution, capsys):
+        out = tmp_path / "w.txt"
+        args = ["wulff", "--norm", "euclidean", "--dim", str(dim),
+                "--resolution", str(resolution), "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resolution") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim,resolution,vertices", [(2, 3, 3), (3, 0, 12)])
+    def test_smallest_resolution_accepted(self, tmp_path, dim, resolution, vertices):
+        out = tmp_path / "w.txt"
+        assert main(["wulff", "--norm", "euclidean", "--dim", str(dim),
+                     "--resolution", str(resolution), "--out", str(out)]) == EXIT_PASS
+        from aniso import TriSurface
+        assert len(TriSurface.load_text(out).vertices) == vertices
 
     def test_crystalline_polytope_path(self, tmp_path):
         out = tmp_path / "cube.txt"

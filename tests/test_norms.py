@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso import (
     ConvergenceError,
@@ -13,6 +15,7 @@ from aniso import (
     SingularPointError,
     SmoothedMaxNorm,
     UnsupportedOperationError,
+    WeightedLpNorm,
     convexity_certificate,
     parse_norm,
     unit_sphere_samples,
@@ -326,3 +329,71 @@ class TestSequenceComparability:
             highs.append(vals.max())
         assert min(lows) > 0.5
         assert max(highs) < 1.1
+
+
+@st.composite
+def _smooth_norms(draw):
+    """A random ellipse Q, weighted lp or smoothmax norm in 2D or 3D."""
+    dim = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("ellipse", "lp", "smoothmax")))
+    if kind == "ellipse":
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim,
+                                   max_size=dim * dim))).reshape(dim, dim)
+        return EllipseNorm(a @ a.T + 0.1 * np.eye(dim))
+    if kind == "lp":
+        weights = draw(st.lists(st.floats(0.2, 5.0), min_size=dim, max_size=dim))
+        return WeightedLpNorm(dim, draw(st.floats(1.2, 8.0)), weights)
+    return SmoothedMaxNorm(dim, 2.0 ** -draw(st.floats(1.0, 8.0)))
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestNormProperties:
+    """Norm axioms and duality for random members of the smooth families."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_smooth_norms(), _SEEDS)
+    def test_homogeneity_and_symmetry(self, norm, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(64, norm.dim))
+        lam = 10.0 ** rng.uniform(-3, 3, size=64)
+        for phi in (norm, norm.dual()):
+            val = phi.eval(v)
+            assert np.all(val > 0)
+            assert np.allclose(phi.eval(lam[:, None] * v), lam * val, rtol=1e-12, atol=0)
+            assert np.allclose(phi.eval(-v), val, rtol=1e-14, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_smooth_norms(), _SEEDS)
+    def test_fenchel_young(self, norm, seed):
+        # <x, y> <= phi(x) phi_polar(y), with equality at the polar's maximizer
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, 256, norm.dim))
+        dual = norm.dual()
+        bound = norm.eval(x) * dual.eval(y)
+        assert np.all(np.sum(x * y, axis=-1) <= bound + 1e-10 * np.maximum(bound, 1.0))
+        xs = dual.grad(y)
+        assert np.allclose(norm.eval(xs), 1.0, rtol=1e-10, atol=0)
+        assert np.allclose(np.sum(xs * y, axis=-1), dual.eval(y), rtol=1e-12, atol=0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_smooth_norms(), _SEEDS)
+    def test_dual_involution(self, norm, seed):
+        # the polar of the polar, by the numeric ascent engine, is the norm;
+        # where the engine cannot certify a maximizer it raises, and it never
+        # returns a value off by more than its tolerance
+        v = np.random.default_rng(seed).normal(size=(4, norm.dim))
+        bidual = DualNorm(norm.dual(), force_numeric=True)
+        try:
+            values = bidual.eval(v)
+        except ConvergenceError:
+            # its stationarity test fails near the crystalline limit
+            assert norm.family == "smoothmax" and norm.eps < 2.0**-6
+            return
+        except SingularPointError:
+            # its Newton polish needs the polar's Hessian, which for an lp
+            # polar with exponent below 2 is singular on coordinate hyperplanes
+            assert norm.family == "lp" and norm.p > 2
+            return
+        assert np.allclose(values, norm.eval(v), rtol=1e-8, atol=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso import (
     EllipseNorm,
@@ -18,7 +20,11 @@ from aniso import (
     parse_shape,
     wulff_volume,
 )
+from aniso.norms import Norm, WeightedLpNorm, parse_norm, unit_sphere_samples
 from aniso.shapes import (
+    TwoBubbleSolid,
+    _TwoBubbleProfile,
+    _wulff_ball_perimeter,
     perturbation_pattern,
     perturbed_wulff_perimeter,
     radial_perimeter,
@@ -137,7 +143,7 @@ class TestGenerators:
 class TestPatterns:
     @pytest.mark.parametrize("dim,pattern", [(2, 0), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
     def test_tangential_gradient_by_finite_differences(self, dim, pattern, rng):
-        from aniso.norms import tangent_basis, unit_sphere_samples
+        from aniso.norms import tangent_basis
         value, sgrad = perturbation_pattern(dim, pattern)
         u = unit_sphere_samples(dim, 64)
         t = tangent_basis(u)
@@ -152,7 +158,6 @@ class TestPatterns:
             assert np.allclose(np.sum(g * t[..., k], axis=-1), fd, atol=1e-5)
 
     def test_bounded_by_one(self):
-        from aniso.norms import unit_sphere_samples
         for pattern in range(4):
             value, _ = perturbation_pattern(3, pattern)
             assert np.max(np.abs(value(unit_sphere_samples(3, 20000)))) <= 1.0 + 1e-9
@@ -188,9 +193,28 @@ class TestRadialPerimeter:
             aniso_area(g.mesh, norm), rel=5e-3)
 
 
+def _bisection_exit(p, u, sign):
+    # the plain 46-step bisection for the largest t with
+    # phi_polar(t u - c) <= r (1 + 1e-13), evaluating every step
+    c = sign * p.center_offset
+    lo = np.zeros(len(u))
+    hi = np.full(len(u), 2.0 * p.radial_bound)
+    for _ in range(46):
+        mid = 0.5 * (lo + hi)
+        inside = p.dual.eval(mid[:, None] * u - c) <= p.r * (1 + 1e-13)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return lo
+
+
 def _union_ref(p, u):
-    # reference union: the larger of both balls' bisection exits, for every ray
-    return np.maximum(p._ball_exit(u, 1.0), p._ball_exit(u, -1.0))
+    # reference union: the plain bisection exit of the ball on the ray's side
+    # of the tangency plane, the larger of both on the plane
+    ua = u[:, p.axis]
+    out = np.zeros(len(u))
+    for sign, side in ((1.0, ua >= 0), (-1.0, ua <= 0)):
+        out[side] = np.maximum(out[side], _bisection_exit(p, u[side], sign))
+    return out
 
 
 def _blend_ref(p, u, theta, rho_union):
@@ -273,28 +297,50 @@ def _band_correction_two_calls(p, n_band):
     return float(np.sum(diff * np.sin(tg)) * (theta[1] - theta[0]) * (2 * np.pi / n_band[1]))
 
 
-_PROFILE_NORMS = [(2, "euclidean"), (2, "ellipse:1,4"), (2, "smoothmax:0.5"),
-                  (2, "smoothmax:0.125"), (3, "euclidean"), (3, "ellipse:1,4,2"),
-                  (3, "smoothmax:0.5"), (3, "smoothmax:0.125")]
+_SMOOTH_PROFILE_NORMS = [(2, "euclidean"), (2, "ellipse:1,4"), (2, "smoothmax:0.5"),
+                         (2, "smoothmax:0.125"), (3, "euclidean"), (3, "ellipse:1,4,2"),
+                         (3, "smoothmax:0.5"), (3, "smoothmax:0.125")]
+# the linf ball's polar (l1) has no gradient at its kinks: no Newton guide
+_PROFILE_NORMS = _SMOOTH_PROFILE_NORMS + [(2, "linf"), (3, "linf")]
+
+
+class _Rotated(Norm):
+    """phi(R v) for a 2D norm phi and a rotation R by ``angle``; its polar is
+    phi_polar(R y), the same construction on the polar."""
+
+    family = "rotated"
+
+    def __init__(self, base, angle):
+        super().__init__(2)
+        self.base = base
+        self.angle = angle
+        self.rot = np.array([[np.cos(angle), -np.sin(angle)],
+                             [np.sin(angle), np.cos(angle)]])
+
+    def _eval(self, v):
+        return self.base._eval(v @ self.rot.T)
+
+    def _grad(self, v):
+        return self.base._grad(v @ self.rot.T) @ self.rot
+
+    def _dual_partner(self):
+        return _Rotated(self.base._dual_partner(), self.angle)
 
 
 class TestTwoBubbleProfileReference:
     """Each two-bubble ray solved once, against the per-ray definitions.
 
-    Tolerances are fixed from the bisection quantum q = 2 radial_bound 2^-46:
-    q for union radii, q / 1e-5 for blended radii (the edge slope is a
-    central difference over 2e-5).
+    Union radii equal the plain bisection's bit for bit.  Blended radii are
+    within q / 1e-5, with q = 2 radial_bound 2^-46 the bisection quantum (the
+    edge slope is a central difference over 2e-5).
     """
 
     @staticmethod
     def _profile(dim, spec):
-        from aniso.shapes import _TwoBubbleProfile
-        from aniso.norms import parse_norm
         return _TwoBubbleProfile(parse_norm(spec, dim), 1.0, 0.3)
 
     @staticmethod
     def _rays(p):
-        from aniso.norms import unit_sphere_samples
         dim = p.dim
         band = np.linspace(-0.99 * p.beta, 0.99 * p.beta, 9)
         if dim == 2:
@@ -307,7 +353,12 @@ class TestTwoBubbleProfileReference:
             rows = [np.stack([np.cos(th), np.sin(th) * np.cos(ps), np.sin(th) * np.sin(ps)],
                              -1).reshape(-1, 3),
                     np.stack([np.zeros_like(ps0), np.cos(ps0), np.sin(ps0)], -1)]
-        u = np.concatenate([unit_sphere_samples(dim, 128)] + [np.asarray(r) for r in rows])
+        # rays just off the tangency plane: the exits are shallow crossings
+        tiny = unit_sphere_samples(dim, 12)
+        tiny[:, p.axis] = np.array([1e-9, -1e-9, 1e-12, -1e-12, 3e-10, -1e-15] * 2)
+        tiny /= np.linalg.norm(tiny, axis=-1, keepdims=True)
+        u = np.concatenate([unit_sphere_samples(dim, 128), tiny]
+                           + [np.asarray(r) for r in rows])
         assert np.sum(u[:, p.axis] == 0.0) >= 2
         assert np.sum(u[:, p.axis] > 0) > 20 and np.sum(u[:, p.axis] < 0) > 20
         return u
@@ -317,8 +368,104 @@ class TestTwoBubbleProfileReference:
         p = self._profile(dim, spec)
         u = self._rays(p)
         q = 2 * p.radial_bound * 2.0**-46
-        assert np.max(np.abs(p.union_rho(u) - _union_ref(p, u))) <= q
+        rho = p.union_rho(u)
+        assert np.array_equal(rho, _union_ref(p, u))
+        # off the plane the other ball's exit adds nothing; within 1e-9 of it
+        # the level's 1e-13 slack can let it run a few hundred q longer, at
+        # the tangency point, where the neck takes over
+        both = np.maximum(_bisection_exit(p, u, 1.0), _bisection_exit(p, u, -1.0))
+        ua = u[:, p.axis]
+        off = (np.abs(ua) > 1e-9) | (ua == 0.0)
+        assert np.max(np.abs(rho - both)[off]) <= q
         assert np.max(np.abs(p(u) - _profile_ref(p, u))) <= q / 1e-5
+
+    def test_certificate_catches_a_wrong_guide(self, monkeypatch):
+        # roots moved by far more than the margin: the steps between the true
+        # and the moved root are guessed wrong, and those rays must be bisected
+        # again from scratch
+        p = self._profile(2, "smoothmax:0.125")
+        u = self._rays(p)
+        newton = p._newton_exit
+
+        def wrong_guide(u, c, level, t_max):
+            root, margin = newton(u, c, level, t_max)
+            return root * (1 - 1e-3), margin
+
+        monkeypatch.setattr(p, "_newton_exit", wrong_guide)
+        assert np.array_equal(p.union_rho(u), _union_ref(p, u))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_guide_evaluates_few_steps(self, dim, monkeypatch):
+        # the plain bisection evaluates phi_polar 46 times per ray; guided, only
+        # the steps within the margin of the Newton root do
+        p = self._profile(dim, "smoothmax:0.125")
+        u = unit_sphere_samples(dim, 2000)
+        points = []
+        evaluate = p.dual.eval
+
+        def counted(v):
+            points.append(len(v))
+            return evaluate(v)
+
+        monkeypatch.setattr(p.dual, "eval", counted)
+        p.union_rho(u)
+        assert sum(points) <= 8 * len(u)
+
+    @staticmethod
+    def _level_points(p, n, rng):
+        # uniform in the box, a tenth on the tangency plane and a tenth within
+        # 1e-9 of it, all outside the neck pocket
+        p.validate()
+        lo, hi = TwoBubbleSolid(p).bounds()
+        pts = rng.uniform(lo, hi, size=(n, p.dim))
+        pts[:n // 10, p.axis] = 0.0
+        pts[n // 10:n // 5, p.axis] = rng.uniform(-1e-9, 1e-9, n // 10)
+        rr = np.linalg.norm(pts, axis=-1)
+        theta = np.arccos(np.clip(pts[:, p.axis] / rr, -1.0, 1.0))
+        return pts[(np.abs(theta - np.pi / 2) >= p.beta) | (rr >= p._band_rho_bound)]
+
+    @staticmethod
+    def _both_balls(p, pts):
+        return np.minimum(p.dual.eval(pts - p.center_offset),
+                          p.dual.eval(pts + p.center_offset)) - p.r
+
+    @pytest.mark.parametrize("dim,spec", [c for c in _PROFILE_NORMS if "smoothmax" not in c[1]]
+                             + [(2, "ellipse:1,0.6,4"), (3, "ellipse:1,0.3,0.2,4,0.5,2")])
+    def test_solid_level_is_min_of_both_balls(self, dim, spec, rng):
+        # outside the neck pocket the level is the smaller ball value, though
+        # the far ball is evaluated only where its lower bound allows it to
+        # be smaller (the tilted ellipses put the centers off the axis)
+        p = self._profile(dim, spec)
+        pts = self._level_points(p, 20_000, rng)
+        assert np.array_equal(p.solid_level(pts), self._both_balls(p, pts))
+
+    def test_solid_level_where_the_far_ball_wins(self, rng):
+        # for lattice norms and ellipses the ball on the point's side always
+        # has the smaller value; for a rotated weighted lp norm it does not
+        p = _TwoBubbleProfile(_Rotated(WeightedLpNorm(2, 1.3, [1.0, 2.0]), 0.8), 1.0, 0.3)
+        pts = self._level_points(p, 20_000, rng)
+        xa = pts[:, p.axis]
+        near = p.dual.eval(pts - np.where(xa >= 0, 1.0, -1.0)[:, None] * p.center_offset)
+        ref = self._both_balls(p, pts)
+        assert np.sum(ref < near - p.r) > 100
+        assert np.array_equal(p.solid_level(pts), ref)
+
+    @pytest.mark.parametrize("dim,spec", [c for c in _PROFILE_NORMS if "smoothmax" in c[1]])
+    def test_solid_level_is_min_of_both_balls_pointwise(self, dim, spec, rng):
+        # the smoothmax polar solve stops when the worst point of its batch
+        # converges, so its last bits depend on the batch: compare one point
+        # at a time, where every evaluation sees the same batch
+        p = self._profile(dim, spec)
+        pts = self._level_points(p, 300, rng)
+        for x in pts:
+            assert np.array_equal(p.solid_level(x[None]), self._both_balls(p, x[None]))
+
+    @pytest.mark.parametrize("dim,spec", _SMOOTH_PROFILE_NORMS)
+    def test_ball_term_matches_radial_perimeter(self, dim, spec):
+        norm = parse_norm(spec, dim)
+        n_dirs = 20_000 if dim == 3 else 100_000
+        assert _wulff_ball_perimeter(norm.dual(), 1.3, n_dirs) == pytest.approx(
+            radial_perimeter(norm, wulff_radial_rho(norm, 1.3), n_dirs=n_dirs), rel=1e-12)
 
     @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
     def test_perimeter_matches_two_call_composition(self, dim, spec):
@@ -329,6 +476,21 @@ class TestTwoBubbleProfileReference:
         ref = 2 * p_ball + _band_correction_two_calls(p, n_band)
         assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(
             ref, rel=1e-9)
+
+
+class TestBallExitProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((2, 3)), st.floats(1.0, 8.0), st.integers(0, 2**32 - 1))
+    def test_union_rho_is_the_plain_bisection(self, dim, k, seed):
+        # random smoothmax eps in [2^-8, 0.5], random rays with a quarter on
+        # or within 1e-9 of the tangency plane
+        p = _TwoBubbleProfile(SmoothedMaxNorm(dim, 2.0**-k), 1.0, 0.3)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(64, dim))
+        u[:8, p.axis] = 0.0
+        u[8:16, p.axis] = rng.uniform(-1e-9, 1e-9, 8)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        assert np.array_equal(p.union_rho(u), _union_ref(p, u))
 
 
 class TestNormSequence:
