@@ -29,8 +29,8 @@ class ConvergenceError(AnisoError):
         self.gap = gap
 
 
-class NonUniqueMaximizerError(AnisoError):
-    """The dual-norm maximizer is not unique (crystalline face direction)."""
+class NonUniqueMaximizerError(SingularPointError):
+    """The dual-norm maximizer (the polar's gradient) is not unique: a crystalline face."""
 
 
 class InvalidMeshError(AnisoError):

@@ -105,39 +105,55 @@ class VoxelSet:
     _MAGIC = b"AVOX\x01"
 
     def save(self, path):
-        occ = np.ascontiguousarray(self.occupancy)
-        packed = np.packbits(occ.reshape(-1))
-        with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
-            fh.write(b"<")                      # endianness tag: little
-            fh.write(struct.pack("<B", self.dim))
-            fh.write(struct.pack(f"<{self.dim}q", *occ.shape))
-            fh.write(struct.pack(f"<{self.dim}d", *self.origin))
-            fh.write(struct.pack("<d", self.spacing))
-            fh.write(packed.tobytes())
+        packed = np.packbits(np.ascontiguousarray(self.occupancy).reshape(-1))
+        _save_grid(path, self._MAGIC, self, b"", packed.tobytes())
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(5)
-            if magic != cls._MAGIC:
-                raise InvalidArgumentError("not a voxel file")
-            endian = fh.read(1)
-            if endian != b"<":
-                raise InvalidArgumentError("unsupported endianness tag")
-            try:
-                (dim,) = struct.unpack("<B", fh.read(1))
-                shape = struct.unpack(f"<{dim}q", fh.read(8 * dim))
-                origin = np.array(struct.unpack(f"<{dim}d", fh.read(8 * dim)))
-                (spacing,) = struct.unpack("<d", fh.read(8))
-            except struct.error as exc:
-                raise InvalidArgumentError("truncated voxel file header") from exc
-            total = math.prod(shape)
-            packed = np.frombuffer(fh.read(), dtype=np.uint8)
-        if min(shape, default=0) < 1 or len(packed) != (total + 7) // 8:
-            raise InvalidArgumentError("voxel payload does not match the grid shape")
-        occ = np.unpackbits(packed, count=total).astype(bool).reshape(shape)
+        shape, origin, spacing, _, payload = _load_grid(
+            path, cls._MAGIC, "voxel", "", lambda total: (total + 7) // 8)
+        packed = np.frombuffer(payload, dtype=np.uint8)
+        occ = np.unpackbits(packed, count=math.prod(shape)).astype(bool).reshape(shape)
         return cls(origin, spacing, occ)
+
+
+def _save_grid(path, magic, vox, tail, payload):
+    """Write a grid file: magic, the little-endian tag, dim, shape, origin and
+    spacing of ``vox``, then the format's packed ``tail`` fields and payload."""
+    d = vox.dim
+    with open(path, "wb") as fh:
+        fh.write(magic + b"<")
+        fh.write(struct.pack(f"<B{d}q{d}dd", d, *vox.dims, *vox.origin, vox.spacing))
+        fh.write(tail)
+        fh.write(payload)
+
+
+def _load_grid(path, magic, what, tail_fmt, payload_bytes):
+    """(shape, origin, spacing, tail fields, payload) of a grid file.
+
+    ``tail_fmt`` is the struct format of the fields after the spacing and
+    ``payload_bytes(n)`` the payload length for n voxels.  A wrong magic or
+    tag, a truncated header and a payload of any other length all raise
+    InvalidArgumentError.
+    """
+    with open(path, "rb") as fh:
+        data = memoryview(fh.read())
+    if data[:len(magic)] != magic:
+        raise InvalidArgumentError(f"not a {what} file")
+    pos = len(magic)
+    if data[pos:pos + 1] != b"<":
+        raise InvalidArgumentError("unsupported endianness tag")
+    try:
+        (dim,) = struct.unpack_from("<B", data, pos + 1)
+        fmt = f"<{dim}q{dim}dd{tail_fmt}"
+        fields = struct.unpack_from(fmt, data, pos + 2)
+    except struct.error as exc:
+        raise InvalidArgumentError(f"truncated {what} file header") from exc
+    shape = fields[:dim]
+    payload = data[pos + 2 + struct.calcsize(fmt):]
+    if min(shape, default=0) < 1 or len(payload) != payload_bytes(math.prod(shape)):
+        raise InvalidArgumentError(f"{what} payload does not match the grid shape")
+    return shape, np.array(fields[dim:2 * dim]), fields[2 * dim], fields[2 * dim + 1:], payload
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +266,8 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
 def components(s: VoxelSet):
     """Face-connected components: (labels array, count), scanline label order."""
     structure = ndimage.generate_binary_structure(s.dim, 1)
+    # ndimage.label already numbers components by first occurrence in scan order
     labels, count = ndimage.label(s.occupancy, structure=structure)
-    if count > 1:
-        # renumber by first occurrence in scan order so labels are reproducible
-        flat = labels.reshape(-1)
-        first = np.full(count + 1, flat.size, dtype=np.int64)
-        nz = np.flatnonzero(flat)
-        np.minimum.at(first, flat[nz], nz)
-        order = np.argsort(first[1:], kind="stable")
-        remap = np.zeros(count + 1, dtype=labels.dtype)
-        remap[1 + order] = np.arange(1, count + 1)
-        labels = remap[labels]
     return labels, int(count)
 
 
@@ -390,33 +397,18 @@ class DistanceField:
         idx = (pts - self.origin[None, :]) / self.spacing - 0.5
         return ndimage.map_coordinates(self.values, idx.T, order=1, mode="nearest")
 
+    _MAGIC = b"ADST\x01"
+
     def save(self, path):
-        vox = self.voxels
-        with open(path, "wb") as fh:
-            fh.write(b"ADST\x01")
-            fh.write(b"<")
-            fh.write(struct.pack("<B", vox.dim))
-            fh.write(struct.pack(f"<{vox.dim}q", *vox.dims))
-            fh.write(struct.pack(f"<{vox.dim}d", *vox.origin))
-            fh.write(struct.pack("<d", vox.spacing))
-            fh.write(struct.pack("<B", self.stencil_order))
-            fh.write(struct.pack("<d", self.chamfer_factor))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f4").tobytes())
+        _save_grid(path, self._MAGIC, self.voxels,
+                   struct.pack("<Bd", self.stencil_order, self.chamfer_factor),
+                   np.ascontiguousarray(self.values, dtype="<f4").tobytes())
 
     @classmethod
     def load(cls, path, dual=None):
-        with open(path, "rb") as fh:
-            if fh.read(5) != b"ADST\x01":
-                raise InvalidArgumentError("not a distance-field file")
-            if fh.read(1) != b"<":
-                raise InvalidArgumentError("unsupported endianness tag")
-            (dim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{dim}q", fh.read(8 * dim))
-            origin = np.array(struct.unpack(f"<{dim}d", fh.read(8 * dim)))
-            (spacing,) = struct.unpack("<d", fh.read(8))
-            (korder,) = struct.unpack("<B", fh.read(1))
-            (cham,) = struct.unpack("<d", fh.read(8))
-            vals = np.frombuffer(fh.read(), dtype="<f4").astype(float).reshape(shape)
+        shape, origin, spacing, (korder, cham), payload = _load_grid(
+            path, cls._MAGIC, "distance-field", "Bd", lambda total: 4 * total)
+        vals = np.frombuffer(payload, dtype="<f4").astype(float).reshape(shape)
         vox = VoxelSet(origin, spacing, vals > 0)
         return cls(vox, vals, dual, korder, cham)
 

@@ -6,6 +6,9 @@ v != 0 and phi(-v) = phi(v).  The dual norm is
     phi_polar(u) = sup { u . v : phi(v) <= 1 },
 
 which is what measures distances to Wulff shapes elsewhere in the package.
+``norm.dual()`` is the family's closed-form polar, a Norm built once, with
+``norm.dual().dual() is norm``.  ``DualNorm(norm)`` is the numeric oracle
+(projected ascent plus Newton), also the polar of a family without one.
 
 All evaluation methods are vectorized: they accept arrays of shape (..., d)
 and return (...) for scalars, (..., d) for gradients and (..., d, d) for
@@ -52,17 +55,31 @@ def _as_points(v, dim):
     return v
 
 
-def _scalar_out(x, single):
-    return float(x) if single else x
+def _newton(residual, x0, target, what):
+    """Solve value(x) = target, residual(x) = (value, slope), for a batch.
+
+    Stops once every point is within 1e-14 max(1, |target|) of the target;
+    raises ConvergenceError after 64 steps.
+    """
+    x = x0
+    for _ in range(64):
+        value, slope = residual(x)
+        f = value - target
+        x = x - f / slope
+        if np.max(np.abs(f)) < 1e-14 * max(1.0, abs(target)):
+            return x
+    raise ConvergenceError(f"{what} Newton solve did not converge in 64 steps",
+                           best=x, gap=float(np.max(np.abs(f))))
 
 
 class Norm:
-    """Base class.  Instances are immutable and safe for shared reads."""
+    """Base class.  Instances are immutable (but for the polar that dual()
+    builds once) and safe for shared reads."""
 
     family = "abstract"
     smooth = True            # C^2 away from 0
     strictly_convex = True
-    analytic_derivatives = True
+    _polar = None            # set by dual()
 
     def __init__(self, dim):
         if dim not in (2, 3):
@@ -73,19 +90,16 @@ class Norm:
 
     def eval(self, v):
         v = _as_points(v, self.dim)
-        single = v.ndim == 1
         out = self._eval(np.atleast_2d(v))
-        return _scalar_out(out[0] if single else out.reshape(v.shape[:-1]), single)
+        return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])
 
     __call__ = eval
 
     def grad(self, v):
         v = _as_points(v, self.dim)
-        single = v.ndim == 1
-        flat = np.atleast_2d(v.reshape(-1, self.dim))
+        flat = v.reshape(-1, self.dim)
         self._check_grad_domain(flat)
-        out = self._grad(flat).reshape(v.shape)
-        return out[()] if not single else out
+        return self._grad(flat).reshape(v.shape)
 
     def hess(self, v):
         if not self.smooth:
@@ -95,8 +109,15 @@ class Norm:
         self._check_grad_domain(flat)
         return self._hess(flat).reshape(v.shape + (self.dim,))
 
-    def dual(self) -> "DualNorm":
-        return DualNorm(self)
+    def dual(self) -> "Norm":
+        """The polar norm, built once; ``norm.dual().dual() is norm``."""
+        if self._polar is None:
+            polar = self._dual_partner()
+            # a polar already linked to another norm keeps its link
+            if polar._polar is None:
+                polar._polar = self
+            self._polar = polar
+        return self._polar
 
     # -- hooks for subclasses -------------------------------------------
 
@@ -114,8 +135,8 @@ class Norm:
             raise SingularPointError("gradient undefined at the origin")
 
     def _dual_partner(self):
-        """Closed-form dual norm, or None when only the numeric solver applies."""
-        return None
+        """A new polar norm: the family's closed form, else the numeric engine."""
+        return DualNorm(self)
 
     @property
     def spec_string(self):
@@ -273,24 +294,18 @@ class SmoothedMaxNorm(Norm):
         eps = self.eps
         target = self._log_level
         m = np.max(np.abs(v), axis=-1)
-        sigma = target * eps / m          # starts above the root: F(sigma0) >= 0
         z = v / eps
-        for _ in range(64):
+
+        def residual(sigma):
             a = z * sigma[:, None]
             mx = np.max(np.abs(a), axis=-1)
             ep = np.exp(a - mx[:, None])
             en = np.exp(-a - mx[:, None])
             ssum = np.sum(ep + en, axis=-1)
-            f = mx + np.log(ssum) - target
-            fp = np.sum(z * (ep - en), axis=-1) / ssum
-            step = f / fp
-            sigma = sigma - step
-            if np.max(np.abs(f)) < 1e-14 * max(1.0, target):
-                break
-        else:
-            raise ConvergenceError("smoothmax gauge Newton solve did not converge in 64 steps",
-                                   best=sigma, gap=float(np.max(np.abs(f))))
-        return sigma
+            return mx + np.log(ssum), np.sum(z * (ep - en), axis=-1) / ssum
+
+        # starts above the root: F(sigma0) >= 0
+        return _newton(residual, target * eps / m, target, "smoothmax gauge")
 
     def _eval(self, v):
         out = np.zeros(v.shape[:-1])
@@ -369,46 +384,33 @@ class _SmoothedMaxPolar(Norm):
         super().__init__(base.dim)
         self.base = base
 
-    def _solve_logt(self, u):
+    def _grad(self, u):
+        # the gradient of a support function is its maximizer
         logw = self.base._log_w
         with np.errstate(divide="ignore"):
             lu = np.log(np.abs(u))
         l1 = np.sum(np.abs(u), axis=-1)
-        theta = logw - np.log(l1)       # f(theta0) >= 0: start above the root
-        for _ in range(64):
+
+        def residual(theta):
             a = 2.0 * (theta[:, None] + lu)
             term = 0.5 * _softplus(a)           # log sqrt(1 + t^2 u_i^2)
             mx = np.max(term, axis=-1, keepdims=True)
             w = np.exp(term - mx)
             ssum = np.sum(w, axis=-1)
-            f = mx[:, 0] + np.log(ssum) - logw
             sig = 1.0 / (1.0 + np.exp(-np.clip(a, -700, 700)))
-            fp = np.sum(w * sig, axis=-1) / ssum
-            theta = theta - f / fp
-            if np.max(np.abs(f)) < 1e-14 * max(1.0, abs(logw)):
-                break
-        else:
-            raise ConvergenceError("smoothmax polar Newton solve did not converge in 64 steps",
-                                   best=theta, gap=float(np.max(np.abs(f))))
-        return theta
+            return mx[:, 0] + np.log(ssum), np.sum(w * sig, axis=-1) / ssum
 
-    def _maximizer(self, v):
-        theta = self._solve_logt(v)
-        with np.errstate(divide="ignore"):
-            lu = np.log(np.abs(v))
-        return self.base.eps * np.sign(v) * _asinh_of_exp(theta[:, None] + lu)
+        # f(theta0) >= 0: start above the root
+        theta = _newton(residual, logw - np.log(l1), logw, "smoothmax polar")
+        return self.base.eps * np.sign(u) * _asinh_of_exp(theta[:, None] + lu)
 
     def _eval(self, v):
         out = np.zeros(v.shape[:-1])
         nz = np.max(np.abs(v), axis=-1) > 0.0
         if np.any(nz):
             u = v[nz]
-            out[nz] = np.sum(u * self._maximizer(u), axis=-1)
+            out[nz] = np.sum(u * self._grad(u), axis=-1)
         return out
-
-    def _grad(self, v):
-        # gradient of a support function = the maximizer itself
-        return self._maximizer(v)
 
     def _hess(self, v):
         # implicit differentiation of the maximizer x(u):
@@ -446,7 +448,9 @@ class L1Norm(Norm):
         super()._check_grad_domain(v)
         scale = np.max(np.abs(v), axis=-1, keepdims=True)
         if np.any(np.abs(v) < 1e-14 * scale):
-            raise SingularPointError("l1 gradient undefined on coordinate hyperplanes")
+            raise NonUniqueMaximizerError(
+                "l1 gradient undefined on coordinate hyperplanes: a whole face of "
+                "the linf unit sphere attains the supremum")
 
     def _grad(self, v):
         return np.sign(v)
@@ -473,7 +477,9 @@ class LinfNorm(Norm):
         mx = np.max(av, axis=-1, keepdims=True)
         ties = np.sum(av > (1.0 - 1e-14) * mx, axis=-1)
         if np.any(ties > 1):
-            raise SingularPointError("linf gradient undefined where the max is tied")
+            raise NonUniqueMaximizerError(
+                "linf gradient undefined where the max is tied: a whole face of "
+                "the l1 unit sphere attains the supremum")
 
     def _grad(self, v):
         av = np.abs(v)
@@ -508,53 +514,37 @@ def _fixed_restart_directions(dim):
 
 
 class DualNorm(Norm):
-    """The polar norm of a base norm.
+    """The polar of a C^2 base norm, by the numeric engine.
 
-    Closed forms are used when the family has one (euclidean, ellipse, lp,
-    l1/linf, smoothmax via its scalar reduction).  Otherwise evaluation runs
-    projected gradient ascent on { phi = 1 } (linear objective, convex
-    constraint) from eight deterministic restarts, followed by a Newton
-    polish on the stationarity system; disagreeing restarts signal a
-    non-unique maximizer.
+    ``norm.dual()`` is the closed form where the family has one; this class
+    is the fallback for a family without one and the oracle the closed forms
+    are checked against.  Evaluation runs projected gradient ascent on
+    { phi = 1 } (linear objective, convex constraint) from eight
+    deterministic restarts, followed by a Newton polish on the stationarity
+    system; disagreeing restarts signal a non-unique maximizer.
     """
 
     family = "dual"
+    partner = None           # no closed-form partner (perfbench labels by it)
 
-    def __init__(self, base: Norm, force_numeric=False):
+    def __init__(self, base: Norm):
+        if not base.smooth:
+            raise UnsupportedOperationError(
+                f"the numeric polar needs a C^2 base norm, {base.family} is not")
         super().__init__(base.dim)
         self.base = base
-        self.partner = None if force_numeric else base._dual_partner()
-        if self.partner is not None:
-            self.smooth = self.partner.smooth
-            self.strictly_convex = self.partner.strictly_convex
-        else:
-            self.smooth = base.smooth
-            self.strictly_convex = base.strictly_convex
-
-    # -- public ----------------------------------------------------------
 
     def _eval(self, v):
-        if self.partner is not None:
-            return self.partner._eval(v)
         val, _ = self._maximize(v)
         return val
 
     def _grad(self, v):
-        if self.base.family == "l1":
-            return self._crystalline_maximizer_l1(v)
-        if self.base.family == "linf":
-            return self._crystalline_maximizer_linf(v)
-        if self.partner is not None:
-            return self.partner._grad(v)
         _, vmax = self._maximize(v, check_unique=True)
         return vmax
 
     def _hess(self, v):
-        if self.partner is not None:
-            return self.partner._hess(v)
         # implicit differentiation at the maximizer: u = mu * grad(phi)(v*)
-        vstar = self._grad(v)
-        mu = self._eval(v)
+        mu, vstar = self._maximize(v, check_unique=True)
         h = self.base._hess(vstar)
         g = self.base._grad(vstar)
         n, d = v.shape
@@ -567,32 +557,12 @@ class DualNorm(Norm):
         sol = np.linalg.solve(big, rhs)
         return sol[:, :d, :]
 
-    def _dual_partner(self):
-        return self.base
-
     def dual(self):
         return self.base
 
     @property
     def spec_string(self):
         return f"dual({self.base.spec_string})"
-
-    # -- crystalline maximizers ------------------------------------------
-
-    def _crystalline_maximizer_l1(self, u):
-        av = np.abs(u)
-        mx = np.max(av, axis=-1, keepdims=True)
-        ties = np.sum(av > (1.0 - 1e-12) * mx, axis=-1)
-        if np.any(ties > 1):
-            raise NonUniqueMaximizerError("a whole face of the l1 unit sphere attains the supremum")
-        out = np.where(av >= mx, np.sign(u), 0.0)
-        return out
-
-    def _crystalline_maximizer_linf(self, u):
-        scale = np.max(np.abs(u), axis=-1, keepdims=True)
-        if np.any(np.abs(u) < 1e-12 * scale):
-            raise NonUniqueMaximizerError("a whole face of the linf unit sphere attains the supremum")
-        return np.sign(u)
 
     # -- numeric engine ----------------------------------------------------
 

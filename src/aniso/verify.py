@@ -276,14 +276,12 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
 
 
 def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
-                       resolution=None, c_cal=None):
+                       resolution=None):
     """Measure eroded volumes against both closed-form predictors.
 
-    Returns (report, PowerLawFit).  For inputs with curvature deviation above
-    0.05 the pass tolerance is widened by c_cal * dev^(1/n) when a
-    calibration constant is supplied; with dev > 1 the almost-CMC hypothesis
-    fails and rows are recorded without a pass requirement.  Radii at or
-    past rbar raise DepthRangeError.
+    Returns (report, PowerLawFit).  With curvature deviation dev > 1 the
+    almost-CMC hypothesis fails and rows are recorded without a pass
+    requirement.  Radii at or past rbar raise DepthRangeError.
     """
     t0 = time.perf_counter()
     if isinstance(shape, ShapeSpec) and resolution is None:
@@ -306,14 +304,11 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     )
     dev = stats["dev_ln"]
     rep.extras.update({"lambda": lam, "rbar": rbar, "volume": stats["volume"],
-                       "perimeter": stats["perimeter"], "dev_ln": dev,
-                       "c_cal": c_cal})
+                       "perimeter": stats["perimeter"], "dev_ln": dev})
     in_regime = dev <= 1.0
     if not in_regime:
         rep.flags.append("deviation-above-almost-cmc-domain")
     tol = DEFAULTS[dim]["tol_erosion"]
-    if dev > 0.05 and c_cal is not None:
-        tol = tol + c_cal * dev ** (1.0 / n)
     vox = rasterize(g.solid, spacing)
     df = distance_transform(vox, norm.dual(), k=stencil_order)
     measured = []
@@ -391,8 +386,8 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
 # experiment: ray disintegration of the volume
 
 
-def check_disintegration(shape, resolution=None, spacing=None, stencil_order=3,
-                         tol=None) -> VerificationReport:
+def check_disintegration(shape, resolution=None, spacing=None,
+                         stencil_order=3) -> VerificationReport:
     """Boundary-ray quadrature of the volume against the divergence theorem.
 
     Per vertex a on the boundary, integrate phi(nu) prod(1 + t*ktilde_i) for
@@ -433,8 +428,7 @@ def check_disintegration(shape, resolution=None, spacing=None, stencil_order=3,
     quad = float(np.sum(mesh.vertex_areas * weight * integral))
     rep.extras.update({"tau_failures": failures, "n_vertices": len(tau),
                        "spacing": spacing})
-    if tol is None:
-        tol = 0.03 if getattr(g.spec, "eps", 0.0) == 0.0 and g.spec.kind == "wulff" else 0.05
+    tol = 0.03 if getattr(g.spec, "eps", 0.0) == 0.0 and g.spec.kind == "wulff" else 0.05
     rep.add("disintegration-volume", "ray_disintegration", vol, quad, tol)
     rep.wall_time = time.perf_counter() - t0
     return rep

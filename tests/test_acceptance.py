@@ -194,7 +194,7 @@ class TestCriterion8DualitySuite:
         worst_inv = 0.0
         for spec in ["euclidean", "ellipse:1,4,2", "lp:3", "smoothmax:0.1"]:
             norm = parse_norm(spec, 3)
-            bidual = DualNorm(norm.dual(), force_numeric=True)
+            bidual = DualNorm(norm.dual())
             v = rng.normal(size=(300, 3))
             err = np.max(np.abs(bidual.eval(v) - norm.eval(v)) / norm.eval(v))
             worst_inv = max(worst_inv, float(err))

@@ -422,15 +422,17 @@ class TestComponents:
         df = distance_transform(vox, EuclideanNorm(2).dual(), k=3)
         assert components(erode(df, 0.4))[1] == 2
 
-    def test_deterministic_scanline_labels(self):
-        occ = np.zeros((30, 30), dtype=bool)
-        occ[20:25, 3:8] = True       # later in scan order
-        occ[2:7, 20:25] = True       # earlier in scan order
-        vox = VoxelSet(np.zeros(2), 0.1, occ)
-        labels, count = components(vox)
-        assert count == 2
-        first_nonzero = labels.reshape(-1)[np.flatnonzero(labels.reshape(-1))[0]]
-        assert first_nonzero == 1
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.floats(0.2, 0.6), st.integers(0, 2**32 - 1))
+    def test_deterministic_scanline_labels(self, dim, density, seed):
+        # random masks hold many components; labels are numbered 1, 2, ...
+        # in the order each component first appears along the scan
+        occ = np.random.default_rng(seed).random((20,) * dim) < density
+        labels, count = components(VoxelSet(np.zeros(dim), 0.1, occ))
+        flat = labels.reshape(-1)
+        first_seen = list(dict.fromkeys(flat[flat > 0].tolist()))
+        assert first_seen == list(range(1, count + 1))
+        assert np.array_equal(labels > 0, occ)
 
     def test_union_additivity(self):
         w = WulffShape(EuclideanNorm(2), 0.3)
@@ -506,6 +508,15 @@ class TestCutLocus:
         assert mask.sum() * vox.spacing**2 <= 10 * vox.spacing * boundary_area
 
 
+def _assert_truncations_rejected(path, load):
+    # cuts inside the header and a payload short of its last bytes
+    raw = path.read_bytes()
+    for cut in (8, 30, len(raw) - 3):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(InvalidArgumentError):
+            load(path)
+
+
 class TestFileFormats:
     def test_voxel_round_trip_bit_exact(self, tmp_path, rng):
         occ = rng.random((23, 17, 9)) > 0.5
@@ -517,6 +528,7 @@ class TestFileFormats:
         assert np.array_equal(back.occupancy, vox.occupancy)
         assert np.allclose(back.origin, vox.origin)
         assert back.spacing == vox.spacing
+        _assert_truncations_rejected(path, VoxelSet.load)
 
     def test_distance_field_round_trip(self, tmp_path, ball2d):
         _, vox, df = ball2d
@@ -526,3 +538,4 @@ class TestFileFormats:
         assert back.values.shape == df.values.shape
         assert np.allclose(back.values, df.values, atol=1e-6 * df.values.max())
         assert back.stencil_order == df.stencil_order
+        _assert_truncations_rejected(path, DistanceField.load)

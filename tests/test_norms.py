@@ -197,10 +197,15 @@ class TestDual:
 
     def test_numeric_engine_matches_closed_forms(self, rng):
         norm = EllipseNorm(np.diag([1.0, 4.0, 2.0]))
-        numeric = DualNorm(norm, force_numeric=True)
+        numeric = DualNorm(norm)
         u = rng.normal(size=(40, 3))
         assert np.max(np.abs(numeric.eval(u) - norm.dual().eval(u))
                       / norm.dual().eval(u)) < 1e-10
+
+    def test_numeric_engine_hessian_matches_closed_form(self, rng):
+        norm = EllipseNorm(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]))
+        u = rng.normal(size=(10, 3))
+        assert np.max(np.abs(DualNorm(norm).hess(u) - norm.dual().hess(u))) < 1e-8
 
     def test_smoothmax_polar_against_dense_oracle(self, rng):
         norm = SmoothedMaxNorm(3, 0.1)
@@ -232,10 +237,33 @@ class TestDual:
         err = np.abs(double.eval(v) - norm.eval(v)) / norm.eval(v)
         assert np.max(err) <= 1e-8
 
+    @pytest.mark.parametrize("dim,spec", [(2, s) for s in ALL_SPECS_2D]
+                             + [(3, s) for s in ALL_SPECS_3D])
+    def test_dual_is_closed_form_built_once(self, dim, spec):
+        norm = parse_norm(spec, dim)
+        polar = norm.dual()
+        assert type(polar) is not DualNorm
+        assert norm.dual() is polar
+        assert polar.dual() is norm
+
+    def test_other_polars_keep_the_first_link(self):
+        # a second polar built by the hook, or the numeric engine on the
+        # polar, links back to the norm without repointing norm.dual()
+        norm = SmoothedMaxNorm(2, 0.1)
+        polar = norm.dual()
+        assert norm._dual_partner().dual() is norm
+        assert DualNorm(polar).dual() is polar
+        assert norm.dual() is polar and polar.dual() is norm
+
+    @pytest.mark.parametrize("base", [L1Norm(3), LinfNorm(3), L1Norm(2), LinfNorm(2)])
+    def test_numeric_engine_rejects_crystalline_base(self, base):
+        with pytest.raises(UnsupportedOperationError):
+            DualNorm(base)
+
     def test_involution_numeric_engine(self, rng):
-        # force the ascent/Newton path on the polar of the smoothed max norm
+        # the ascent/Newton path on the polar of the smoothed max norm
         norm = SmoothedMaxNorm(3, 0.1)
-        numeric_bidual = DualNorm(norm.dual(), force_numeric=True)
+        numeric_bidual = DualNorm(norm.dual())
         v = rng.normal(size=(30, 3))
         err = np.abs(numeric_bidual.eval(v) - norm.eval(v)) / norm.eval(v)
         assert np.max(err) <= 1e-8
@@ -384,7 +412,7 @@ class TestNormProperties:
         # where the engine cannot certify a maximizer it raises, and it never
         # returns a value off by more than its tolerance
         v = np.random.default_rng(seed).normal(size=(4, norm.dim))
-        bidual = DualNorm(norm.dual(), force_numeric=True)
+        bidual = DualNorm(norm.dual())
         try:
             values = bidual.eval(v)
         except ConvergenceError:
