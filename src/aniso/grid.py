@@ -54,8 +54,7 @@ class VoxelSet:
         self.occupancy = np.asarray(self.occupancy, dtype=bool)
         if self.occupancy.ndim not in (2, 3):
             raise InvalidArgumentError("occupancy must be a 2D or 3D array")
-        if self.spacing <= 0:
-            raise InvalidArgumentError("spacing must be positive")
+        _check_spacing(self.spacing)
         if self.level is not None and self.level.shape != self.occupancy.shape:
             raise InvalidArgumentError("level array must match occupancy shape")
 
@@ -115,6 +114,11 @@ class VoxelSet:
         packed = np.frombuffer(payload, dtype=np.uint8)
         occ = np.unpackbits(packed, count=math.prod(shape)).astype(bool).reshape(shape)
         return cls(origin, spacing, occ)
+
+
+def _check_spacing(spacing):
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise InvalidArgumentError(f"spacing must be positive and finite, got {spacing}")
 
 
 def _save_grid(path, magic, vox, tail, payload):
@@ -227,8 +231,7 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
     bounding box padded by ``margin`` voxels; pass origin/dims to rasterize
     onto an explicit grid instead (several shapes on one grid stay comparable).
     """
-    if spacing <= 0:
-        raise InvalidArgumentError("spacing must be positive")
+    _check_spacing(spacing)
     if origin is None or dims is None:
         lo, hi = shape.bounds()
         lo = np.asarray(lo, float) - margin * spacing
@@ -365,6 +368,10 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
 # ---------------------------------------------------------------------------
 # distance fields
 
+# Width of the seeding band in voxels: a seed starts at most _BAND * spacing
+# below zero, and a dilation's level is kept up to that far past its radius.
+_BAND = 3.0
+
 
 @dataclass
 class DistanceField:
@@ -431,21 +438,48 @@ def distance_transform(s: VoxelSet, dual: Norm, k=3) -> DistanceField:
     return _seeded_distance(s, ~s.occupancy, 1.0, dual, k)
 
 
-def _seeded_distance(s: VoxelSet, seeds, sign, dual, k):
+def _seeded_distance(s: VoxelSet, seeds, sign, dual, k, cap=None):
     """Stencil distance from the ``seeds`` voxels, clamped to zero on them.
 
-    With a level function, seeds start at -clip(sign * level, 0, 3h): sign 1
-    when the seeds are the complement (level > 0 there), -1 when they are the
-    occupied set itself.
+    With a level function, seeds start at -clip(sign * level, 0, band), band =
+    _BAND voxels: sign 1 when the seeds are the complement (level > 0 there),
+    -1 when they are the occupied set itself.
+
+    With a ``cap``, values above it are +inf and all others exact.  Every
+    voxel at or below the cap has an optimal path whose values all stay at or
+    below it (weights are positive and fl(a + w) >= a), and that path lies in
+    the box a path of length cap - min(seed) can reach from the seeds' bounding
+    box.  So only that box is relaxed, its non-seed voxels starting at the
+    float just above the cap, where no candidate above the cap can land.
     """
     offs = stencil_offsets(s.dim, k)
+    w = dual.eval(offs * s.spacing)
     dist = np.where(seeds, 0.0, np.inf)
     if s.level is not None:
-        dist[seeds] = -np.clip(sign * s.level[seeds], 0.0, 3.0 * s.spacing)
-    _relax_to_fixpoint(dist, offs, dual.eval(offs * s.spacing))
+        dist[seeds] = -np.clip(sign * s.level[seeds], 0.0, _BAND * s.spacing)
+    if cap is None:
+        _relax_to_fixpoint(dist, offs, w)
+    else:
+        box = _reach_box(seeds, cap - dist[seeds].min(), offs, w)
+        sub = dist[box]
+        sub[~seeds[box]] = np.nextafter(cap, np.inf)
+        _relax_to_fixpoint(sub, offs, w)
+        sub[sub > cap] = np.inf
     np.maximum(dist, 0.0, out=dist)
     dist[seeds] = 0.0
     return DistanceField(s, dist, dual, k)
+
+
+def _reach_box(seeds, length, offs, w):
+    """Slices of the seeds' bounding box, widened on each axis by the voxels
+    a stencil path of the given length can cross along it (plus one)."""
+    reach = np.ceil(length * np.max(np.abs(offs) / w[:, None], axis=0))
+    reach = np.minimum(reach, max(seeds.shape))  # an infinite radius reaches the whole grid
+    box = []
+    for axis, (n, pad) in enumerate(zip(seeds.shape, reach.astype(int) + 1)):
+        hit = np.flatnonzero(seeds.any(axis=tuple(j for j in range(seeds.ndim) if j != axis)))
+        box.append(slice(max(hit[0] - pad, 0), min(hit[-1] + 1 + pad, n)))
+    return tuple(box)
 
 
 def erode(df: DistanceField, r) -> VoxelSet:
@@ -461,12 +495,17 @@ def erode(df: DistanceField, r) -> VoxelSet:
 
 
 def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
-    """Minkowski dilation by the Wulff ball of radius t (distance from s <= t)."""
-    if t < 0:
+    """Minkowski dilation by the Wulff ball of radius t (distance from s <= t).
+
+    The result carries delta - t as its level function where delta <= t +
+    band (band = _BAND voxels) and +inf beyond, where a later seeding clips
+    the level to the band either way; the distance is relaxed only that far.
+    """
+    if not t >= 0:
         raise InvalidArgumentError("dilation radius must be nonnegative")
     if not s.occupancy.any():
         return VoxelSet(s.origin, s.spacing, s.occupancy.copy())
-    df = distance_from_set(s, dual, k)
+    df = _seeded_distance(s, s.occupancy, -1.0, dual, k, cap=t + _BAND * s.spacing)
     out = VoxelSet(s.origin, s.spacing, df.values <= t, level=df.values - t)
     out.check_margin(1)
     return out

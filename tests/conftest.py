@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def nan_spacing_vox(tmp_path):
+    """A saved 4x4 voxel file whose 8 spacing bytes are patched to NaN."""
+    from aniso import VoxelSet
+
+    occ = np.zeros((4, 4), dtype=bool)
+    occ[1:3, 1:3] = True
+    path = tmp_path / "nan.vox"
+    VoxelSet(np.zeros(2), 0.5, occ).save(path)
+    raw = bytearray(path.read_bytes())
+    # magic (5 bytes), endianness tag, dim, then two int64 dims and two float64 origins
+    struct.pack_into("<d", raw, 5 + 1 + 1 + 16 + 16, float("nan"))
+    path.write_bytes(bytes(raw))
+    return path

@@ -266,6 +266,12 @@ class TestDtCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_nan_spacing_exits_config(self, tmp_path, nan_spacing_vox, capsys):
+        assert main(["dt", "--in", str(nan_spacing_vox), "--norm", "euclidean",
+                     "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: spacing must be positive and finite, got nan\n"
+
     def test_relaxation_failure_exits_fail(self, tmp_path, monkeypatch):
         vox_path = tmp_path / "ball.vox"
         rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1).save(vox_path)

@@ -14,6 +14,7 @@ from aniso import (
     Translate,
     Union,
     VoxelSet,
+    WeightedLpNorm,
     WulffShape,
     chamfer_factor,
     components,
@@ -217,14 +218,20 @@ class TestSlabEngine:
         if case.startswith("ring"):
             assert components(vox)[1] == 2
         dual = norm.dual()
-        got = [distance_transform(vox, dual, k=k).values,
-               distance_from_set(vox, dual, k=k).values]
+
+        def fields():
+            # the capped dilation field relaxes a sub-box seeded above its cap
+            capped = grid._seeded_distance(vox, vox.occupancy, -1.0, dual, k,
+                                           cap=2 * vox.spacing)
+            return [distance_transform(vox, dual, k=k).values,
+                    distance_from_set(vox, dual, k=k).values, capped.values]
+
+        got = fields()
         rounds = []
         monkeypatch.setattr(grid, "_relax_to_fixpoint",
                             lambda *a, **kw: rounds.append(_per_offset_relax(*a, **kw)))
-        want = [distance_transform(vox, dual, k=k).values,
-                distance_from_set(vox, dual, k=k).values]
-        assert len(rounds) == 2
+        want = fields()
+        assert len(rounds) == 3
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -399,6 +406,84 @@ class TestDilate:
             dilate(vox, EuclideanNorm(2).dual(), 1.0)
 
 
+_DILATION_NORMS = {
+    "euclidean": lambda dim: EuclideanNorm(dim),
+    "ellipse": lambda dim: EllipseNorm(np.diag([1.0, 4.0, 2.0][:dim])),
+    "lp": lambda dim: WeightedLpNorm(dim, 3.0, [1.0, 2.0, 0.5][:dim]),
+    "smoothmax": lambda dim: SmoothedMaxNorm(dim, 0.2),
+}
+
+
+@st.composite
+def _dilation_cases(draw):
+    """A random set with a wide empty margin, eroded or not, a norm and a radius."""
+    dim = draw(st.sampled_from([2, 3]))
+    margin = draw(st.integers(1, 12 if dim == 2 else 8))
+    inner = tuple(draw(st.integers(1, 8 if dim == 2 else 5)) for _ in range(dim))
+    cells = draw(st.lists(st.booleans(), min_size=int(np.prod(inner)),
+                          max_size=int(np.prod(inner))))
+    occ = np.zeros(tuple(n + 2 * margin for n in inner), dtype=bool)
+    occ[tuple(slice(margin, margin + n) for n in inner)] = np.reshape(cells, inner)
+    h = draw(st.sampled_from([0.1, 0.37]))
+    vox = VoxelSet(np.zeros(dim), h, occ)
+    norm = _DILATION_NORMS[draw(st.sampled_from(sorted(_DILATION_NORMS)))](dim)
+    k = draw(st.integers(1, 3))
+    depth = draw(st.sampled_from([None, 0.0, 0.5, 1.5]))
+    if depth is not None and occ.any():
+        # an eroded set seeds its dilation from r - delta, down to -3h
+        vox = erode(distance_transform(vox, norm.dual(), k=k), depth * h)
+    t = draw(st.floats(0.0, 4.0)) * h
+    return vox, norm.dual(), t, k
+
+
+class TestCappedDilation:
+    """dilate relaxes only up to t + 3h; below that it is the full field."""
+
+    @staticmethod
+    def _assert_matches_full_field(vox, dual, t, k):
+        vals = distance_from_set(vox, dual, k=k).values
+        want = vals <= t
+        probe = VoxelSet(vox.origin, vox.spacing, want)
+        try:
+            probe.check_margin(1)
+        except MarginError:
+            with pytest.raises(MarginError):
+                dilate(vox, dual, t, k=k)
+            return
+        got = dilate(vox, dual, t, k=k)
+        assert np.array_equal(got.occupancy, want)
+        assert np.array_equal(got.level,
+                              np.where(vals <= t + 3 * vox.spacing, vals - t, np.inf))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_dilation_cases())
+    def test_matches_full_field_below_cap(self, case):
+        vox, dual, t, k = case
+        assume(vox.occupancy.any())
+        self._assert_matches_full_field(vox, dual, t, k)
+
+    def test_reach_box_is_anisotropic_and_starts_below_zero(self):
+        # seeds at -3h near the low wall of the long-reach axis: at t = 1.2h
+        # the field stays under the cap 14 voxels along axis 1 but only 7
+        # along axis 0, so a pad shared by both axes, or one measured from 0
+        # rather than -3h, cuts off finite levels on the far side
+        norm = EllipseNorm(np.diag([1.0, 4.0]))
+        h = 0.1
+        occ = np.zeros((28, 34), dtype=bool)
+        occ[12:15, 10:13] = True
+        vox = VoxelSet(np.zeros(2), h, occ, level=np.where(occ, -1.0, 1.0))
+        dual = norm.dual()
+        assert np.array_equal(dual.eval(np.eye(2)), [1.0, 0.5])
+        got = dilate(vox, dual, 1.2 * h)
+        assert np.isfinite(got.level[13, 26]) and np.isinf(got.level[13, 27])
+        assert np.isfinite(got.level[21, 11]) and np.isinf(got.level[22, 11])
+        self._assert_matches_full_field(vox, dual, 1.2 * h, 3)
+
+    def test_nan_radius_rejected(self, ball2d):
+        with pytest.raises(InvalidArgumentError):
+            dilate(ball2d[1], EuclideanNorm(2).dual(), float("nan"))
+
+
 class TestComponents:
     def test_two_disjoint_balls(self):
         w = WulffShape(EuclideanNorm(2), 0.4)
@@ -529,6 +614,16 @@ class TestFileFormats:
         assert np.allclose(back.origin, vox.origin)
         assert back.spacing == vox.spacing
         _assert_truncations_rejected(path, VoxelSet.load)
+
+    def test_non_finite_spacing_rejected(self, nan_spacing_vox):
+        with pytest.raises(InvalidArgumentError, match="spacing must be positive and finite"):
+            VoxelSet.load(nan_spacing_vox)
+        occ = np.zeros((4, 4), dtype=bool)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError):
+                VoxelSet(np.zeros(2), bad, occ)
+            with pytest.raises(InvalidArgumentError):
+                rasterize(WulffShape(EuclideanNorm(2), 1.0), bad)
 
     def test_distance_field_round_trip(self, tmp_path, ball2d):
         _, vox, df = ball2d
