@@ -67,6 +67,8 @@ class VoxelSet:
         return self.occupancy.shape
 
     def check_margin(self, width=1):
+        if width < 0:
+            raise InvalidArgumentError(f"margin must be nonnegative, got {width}")
         occ = self.occupancy
         for axis in range(occ.ndim):
             sl_lo = [slice(None)] * occ.ndim

@@ -72,6 +72,20 @@ def _newton(residual, x0, target, what):
                            best=x, gap=float(np.max(np.abs(f))))
 
 
+# The smoothmax kernels hold a batch as contiguous coordinate rows, (d, N),
+# and reduce over the 2 or 3 coordinates by an explicit left-to-right fold,
+# (x0 + x1) + x2.  That is numpy's own order for a short contiguous last axis,
+# so every value is bit for bit what an axis=-1 sum or max gives; folding
+# whole rows is vectorised, where a reduction along a length-2 or length-3
+# axis runs a strided inner loop per point.
+def _fold(op, rows):
+    """op folded left to right over the rows of a (d, N) array."""
+    out = op(rows[0], rows[1])
+    for row in rows[2:]:
+        op(out, row, out=out)
+    return out
+
+
 class Norm:
     """Base class.  Instances are immutable (but for the polar that dual()
     builds once) and safe for shared reads."""
@@ -290,58 +304,64 @@ class SmoothedMaxNorm(Norm):
         self._log_w = self._log_level - math.log(2.0)
 
     # g is evaluated through sigma = 1/s; solve logsumexp(+-v_i*sigma/eps) = log-level.
-    def _solve_sigma(self, v):
+    def _solve_sigma(self, vt):
         eps = self.eps
         target = self._log_level
-        m = np.max(np.abs(v), axis=-1)
-        z = v / eps
+        m = _fold(np.maximum, np.abs(vt))
+        z = vt / eps
 
         def residual(sigma):
-            a = z * sigma[:, None]
-            mx = np.max(np.abs(a), axis=-1)
-            ep = np.exp(a - mx[:, None])
-            en = np.exp(-a - mx[:, None])
-            ssum = np.sum(ep + en, axis=-1)
-            return mx + np.log(ssum), np.sum(z * (ep - en), axis=-1) / ssum
+            a = z * sigma
+            ep = np.abs(a)
+            mx = _fold(np.maximum, ep)
+            np.exp(np.subtract(a, mx, out=ep), out=ep)
+            en = np.negative(a, out=a)
+            np.exp(np.subtract(en, mx, out=en), out=en)
+            both = ep + en
+            ssum = _fold(np.add, both)
+            np.multiply(z, np.subtract(ep, en, out=both), out=both)
+            return mx + np.log(ssum), _fold(np.add, both) / ssum
 
         # starts above the root: F(sigma0) >= 0
         return _newton(residual, target * eps / m, target, "smoothmax gauge")
 
     def _eval(self, v):
         out = np.zeros(v.shape[:-1])
-        nz = np.max(np.abs(v), axis=-1) > 0.0
+        nz = _fold(np.maximum, np.abs(v.T)) > 0.0
         if np.any(nz):
-            out[nz] = 1.0 / self._solve_sigma(v[nz])
+            out[nz] = 1.0 / self._solve_sigma(np.ascontiguousarray(v.T[:, nz]))
         return out
 
-    def _g_grad_hess(self, u, want_hess=False):
-        # gradient (and optionally Hessian) of g at points u near the gauge sphere
-        eps = self.eps
-        a = u / eps
-        mx = np.max(np.abs(a), axis=-1)
-        ep = np.exp(a - mx[:, None])
-        en = np.exp(-a - mx[:, None])
-        ssum = np.sum(ep + en, axis=-1)
-        grad = (ep - en) / ssum[:, None]
-        if not want_hess:
-            return grad, None
-        dvec = (ep + en) / ssum[:, None]
+    def _g_grad_rows(self, ut):
+        # gradient of g at coordinate rows ut near the gauge sphere, and the
+        # diagonal (e^a + e^-a) / sum of its Hessian (before the 1/eps)
+        a = ut / self.eps
+        mx = _fold(np.maximum, np.abs(a))
+        ep = np.exp(a - mx)
+        en = np.exp(-a - mx)
+        both = ep + en
+        ssum = _fold(np.add, both)
+        return (ep - en) / ssum, both / ssum
+
+    def _g_grad_hess(self, u):
+        # gradient and Hessian of g at points u, (N, d) -> (N, d), (N, d, d)
+        gt, dt = self._g_grad_rows(u.T.copy())
+        grad = gt.T.copy()
         idx = np.arange(self.dim)
         hess = -grad[:, :, None] * grad[:, None, :]
-        hess[:, idx, idx] += dvec
-        return grad, hess / eps
+        hess[:, idx, idx] += dt.T
+        return grad, hess / self.eps
 
     def _grad(self, v):
-        phi = self._eval(v)
-        u = v / phi[..., None]
-        g, _ = self._g_grad_hess(u)
-        s = np.sum(g * u, axis=-1)
-        return g / s[:, None]
+        ut = v.T.copy()
+        ut /= self._eval(v)
+        g, _ = self._g_grad_rows(ut)
+        return (g / _fold(np.add, g * ut)).T.copy()
 
     def _hess(self, v):
         phi = self._eval(v)
         u = v / phi[..., None]
-        g, hg = self._g_grad_hess(u, want_hess=True)
+        g, hg = self._g_grad_hess(u)
         s = np.sum(g * u, axis=-1)[:, None, None]
         gradphi = (g / np.sum(g * u, axis=-1)[:, None])
         hu = np.einsum("nij,nj->ni", hg, u)
@@ -356,10 +376,6 @@ class SmoothedMaxNorm(Norm):
     @property
     def spec_string(self):
         return f"smoothmax:{self.eps!r}"
-
-
-def _softplus(a):
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
 def _asinh_of_exp(b):
@@ -384,39 +400,51 @@ class _SmoothedMaxPolar(Norm):
         super().__init__(base.dim)
         self.base = base
 
-    def _grad(self, u):
-        # the gradient of a support function is its maximizer
+    def _maximizer(self, ut):
+        """The support-function maximizer of each column of ut, (d, N) -> (d, N)."""
         logw = self.base._log_w
         with np.errstate(divide="ignore"):
-            lu = np.log(np.abs(u))
-        l1 = np.sum(np.abs(u), axis=-1)
+            lu = np.log(np.abs(ut))
+        l1 = _fold(np.add, np.abs(ut))
 
         def residual(theta):
-            a = 2.0 * (theta[:, None] + lu)
-            term = 0.5 * _softplus(a)           # log sqrt(1 + t^2 u_i^2)
-            mx = np.max(term, axis=-1, keepdims=True)
-            w = np.exp(term - mx)
-            ssum = np.sum(w, axis=-1)
-            sig = 1.0 / (1.0 + np.exp(-np.clip(a, -700, 700)))
-            return mx[:, 0] + np.log(ssum), np.sum(w * sig, axis=-1) / ssum
+            a = np.add(lu, theta)
+            np.multiply(a, 2.0, out=a)
+            # term = log sqrt(1 + t^2 u_i^2) = softplus(a) / 2
+            term = np.abs(a)
+            np.log1p(np.exp(np.negative(term, out=term), out=term), out=term)
+            w = np.maximum(a, 0.0)
+            np.multiply(np.add(term, w, out=term), 0.5, out=term)
+            mx = _fold(np.maximum, term)
+            np.exp(np.subtract(term, mx, out=w), out=w)
+            ssum = _fold(np.add, w)
+            # w * sigmoid(a), the logistic clipped to stay finite
+            sig = np.minimum(np.maximum(a, -700.0, out=a), 700.0, out=a)
+            np.exp(np.negative(sig, out=sig), out=sig)
+            np.divide(1.0, np.add(sig, 1.0, out=sig), out=sig)
+            return mx + np.log(ssum), _fold(np.add, np.multiply(w, sig, out=sig)) / ssum
 
         # f(theta0) >= 0: start above the root
         theta = _newton(residual, logw - np.log(l1), logw, "smoothmax polar")
-        return self.base.eps * np.sign(u) * _asinh_of_exp(theta[:, None] + lu)
+        return self.base.eps * np.sign(ut) * _asinh_of_exp(lu + theta)
+
+    def _grad(self, u):
+        # the gradient of a support function is its maximizer
+        return self._maximizer(u.T.copy()).T.copy()
 
     def _eval(self, v):
         out = np.zeros(v.shape[:-1])
-        nz = np.max(np.abs(v), axis=-1) > 0.0
+        nz = _fold(np.maximum, np.abs(v.T)) > 0.0
         if np.any(nz):
-            u = v[nz]
-            out[nz] = np.sum(u * self._grad(u), axis=-1)
+            ut = np.ascontiguousarray(v.T[:, nz])
+            out[nz] = _fold(np.add, ut * self._maximizer(ut))
         return out
 
     def _hess(self, v):
         # implicit differentiation of the maximizer x(u):
         #   grad g(x) = mu * u,  g(x) = level   =>  bordered linear system
         x = self._grad(v)
-        g, hg = self.base._g_grad_hess(x, want_hess=True)
+        g, hg = self.base._g_grad_hess(x)
         mu = np.linalg.norm(g, axis=-1) / np.linalg.norm(v, axis=-1)
         n, d = v.shape
         big = np.zeros((n, d + 1, d + 1))
@@ -513,6 +541,20 @@ def _fixed_restart_directions(dim):
     return np.concatenate([s, -s], axis=0)
 
 
+def _central_hess(norm, v):
+    """Hessian by central differences of the gradient, each coordinate stepped
+    by 1e-6 of its own size, so that no step crosses a coordinate hyperplane."""
+    n, d = v.shape
+    out = np.zeros((n, d, d))
+    for j in range(d):
+        e = np.zeros_like(v)
+        e[:, j] = 1e-6 * np.abs(v[:, j])
+        ok = e[:, j] > 0.0
+        diff = norm._grad(v + e) - norm._grad(v - e)
+        out[ok, :, j] = diff[ok] / (2.0 * e[ok, j])[:, None]
+    return out
+
+
 class DualNorm(Norm):
     """The polar of a C^2 base norm, by the numeric engine.
 
@@ -602,7 +644,10 @@ class DualNorm(Norm):
         fnorm = kkt_norm(v, mu)
         for _ in range(40):
             g = base._grad(v)
-            h = base._hess(v)
+            try:
+                h = base._hess(v)
+            except SingularPointError:
+                h = _central_hess(base, v)
             res = uu - mu[:, None] * g
             cons = base._eval(v) - 1.0
             big = np.zeros((n * r, d + 1, d + 1))

@@ -266,6 +266,13 @@ class TestDtCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_margin_exits_config(self, tmp_path, capsys):
+        vox_path = tmp_path / "ball.vox"
+        rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=2).save(vox_path)
+        assert main(["dt", "--in", str(vox_path), "--norm", "euclidean", "--margin", "-1",
+                     "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: margin must be nonnegative, got -1\n"
+
     def test_nan_spacing_exits_config(self, tmp_path, nan_spacing_vox, capsys):
         assert main(["dt", "--in", str(nan_spacing_vox), "--norm", "euclidean",
                      "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG

@@ -77,6 +77,14 @@ class TestRasterize:
         with pytest.raises(MarginError):
             rasterize(w, 0.02, origin=np.array([-1.0, -1.0]), dims=(100, 100))
 
+    def test_negative_margin_rejected(self):
+        # a negative width would slice from the far end and inspect the whole grid
+        vox = rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=2)
+        vox.check_margin(0)
+        vox.check_margin(2)
+        with pytest.raises(InvalidArgumentError, match="margin must be nonnegative"):
+            vox.check_margin(-1)
+
 
 class TestDistanceTransform:
     def test_zero_on_complement(self, ball2d):

@@ -20,6 +20,7 @@ from aniso import (
     parse_norm,
     unit_sphere_samples,
 )
+from aniso.norms import _asinh_of_exp, _newton, _SmoothedMaxPolar
 
 ALL_SPECS_2D = ["euclidean", "ellipse:1,4", "lp:3", "smoothmax:0.1", "l1", "linf"]
 ALL_SPECS_3D = ["euclidean", "ellipse:1,4,2", "lp:3", "smoothmax:0.1", "l1", "linf"]
@@ -268,6 +269,15 @@ class TestDual:
         err = np.abs(numeric_bidual.eval(v) - norm.eval(v)) / norm.eval(v)
         assert np.max(err) <= 1e-8
 
+    def test_numeric_engine_near_a_coordinate_axis(self):
+        # the polar of lp:6 is lp:1.2, whose Hessian is refused within 1e-12
+        # of a coordinate hyperplane; the maximizer for u = (1, 0.003) lies
+        # 2.4e-13 off the first axis, so the polish runs off that domain
+        norm = parse_norm("lp:6", 2)
+        u = np.array([[1.0, 0.003], [0.003, -1.0]])
+        values = DualNorm(norm.dual()).eval(u)
+        assert np.allclose(values, norm.eval(u), rtol=1e-8, atol=0)
+
 
 class TestSmoothmaxNewton:
     # a level below the minimum log(2m) of the log-sum-exp (or a polar level W
@@ -419,9 +429,121 @@ class TestNormProperties:
             # its stationarity test fails near the crystalline limit
             assert norm.family == "smoothmax" and norm.eps < 2.0**-6
             return
-        except SingularPointError:
-            # its Newton polish needs the polar's Hessian, which for an lp
-            # polar with exponent below 2 is singular on coordinate hyperplanes
-            assert norm.family == "lp" and norm.p > 2
-            return
         assert np.allclose(values, norm.eval(v), rtol=1e-8, atol=0)
+
+
+# Test-only oracle: the smoothmax kernels in plain numpy form, each batch held
+# as (N, d) points and every reduction along axis=-1.  The package's
+# column-major kernels must agree with it bit for bit.
+
+
+def _row_softplus(a):
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+
+
+class _RowMajorGauge(SmoothedMaxNorm):
+    def _solve_sigma(self, v):
+        eps = self.eps
+        target = self._log_level
+        m = np.max(np.abs(v), axis=-1)
+        z = v / eps
+
+        def residual(sigma):
+            a = z * sigma[:, None]
+            mx = np.max(np.abs(a), axis=-1)
+            ep = np.exp(a - mx[:, None])
+            en = np.exp(-a - mx[:, None])
+            ssum = np.sum(ep + en, axis=-1)
+            return mx + np.log(ssum), np.sum(z * (ep - en), axis=-1) / ssum
+
+        return _newton(residual, target * eps / m, target, "smoothmax gauge")
+
+    def _eval(self, v):
+        out = np.zeros(v.shape[:-1])
+        nz = np.max(np.abs(v), axis=-1) > 0.0
+        if np.any(nz):
+            out[nz] = 1.0 / self._solve_sigma(v[nz])
+        return out
+
+    def _g_grad_hess(self, u, want_hess=True):
+        eps = self.eps
+        a = u / eps
+        mx = np.max(np.abs(a), axis=-1)
+        ep = np.exp(a - mx[:, None])
+        en = np.exp(-a - mx[:, None])
+        ssum = np.sum(ep + en, axis=-1)
+        grad = (ep - en) / ssum[:, None]
+        if not want_hess:
+            return grad, None
+        dvec = (ep + en) / ssum[:, None]
+        idx = np.arange(self.dim)
+        hess = -grad[:, :, None] * grad[:, None, :]
+        hess[:, idx, idx] += dvec
+        return grad, hess / eps
+
+    def _grad(self, v):
+        phi = self._eval(v)
+        u = v / phi[..., None]
+        g, _ = self._g_grad_hess(u, want_hess=False)
+        s = np.sum(g * u, axis=-1)
+        return g / s[:, None]
+
+    def _dual_partner(self):
+        return _RowMajorPolar(self)
+
+
+class _RowMajorPolar(_SmoothedMaxPolar):
+    def _grad(self, u):
+        logw = self.base._log_w
+        with np.errstate(divide="ignore"):
+            lu = np.log(np.abs(u))
+        l1 = np.sum(np.abs(u), axis=-1)
+
+        def residual(theta):
+            a = 2.0 * (theta[:, None] + lu)
+            term = 0.5 * _row_softplus(a)
+            mx = np.max(term, axis=-1, keepdims=True)
+            w = np.exp(term - mx)
+            ssum = np.sum(w, axis=-1)
+            sig = 1.0 / (1.0 + np.exp(-np.clip(a, -700, 700)))
+            return mx[:, 0] + np.log(ssum), np.sum(w * sig, axis=-1) / ssum
+
+        theta = _newton(residual, logw - np.log(l1), logw, "smoothmax polar")
+        return self.base.eps * np.sign(u) * _asinh_of_exp(theta[:, None] + lu)
+
+    def _eval(self, v):
+        out = np.zeros(v.shape[:-1])
+        nz = np.max(np.abs(v), axis=-1) > 0.0
+        if np.any(nz):
+            u = v[nz]
+            out[nz] = np.sum(u * self._grad(u), axis=-1)
+        return out
+
+
+@st.composite
+def _smoothmax_batches(draw):
+    """A smoothmax norm, eps in [2^-8, 0.5], and a batch of 1..2000 points
+    over scales 10^-3..10^3 with zero coordinates and whole zero rows."""
+    dim = draw(st.sampled_from((2, 3)))
+    eps = 2.0 ** -draw(st.floats(1.0, 8.0))
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(_SEEDS))
+    v = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    v[rng.random((n, dim)) < draw(st.sampled_from((0.0, 0.1, 0.4)))] = 0.0
+    return dim, eps, v
+
+
+class TestSmoothmaxColumnKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(_smoothmax_batches())
+    def test_bitwise_equal_to_row_major_oracle(self, case):
+        dim, eps, v = case
+        nonzero = v[np.any(v != 0.0, axis=-1)]
+        pairs = ((SmoothedMaxNorm(dim, eps), _RowMajorGauge(dim, eps)),)
+        pairs += ((pairs[0][0].dual(), pairs[0][1].dual()),)
+        for norm, oracle in pairs:
+            assert type(norm) is not type(oracle)
+            assert np.array_equal(norm.eval(v), oracle.eval(v))
+            if len(nonzero):
+                assert np.array_equal(norm.grad(nonzero), oracle.grad(nonzero))
+                assert np.array_equal(norm.hess(nonzero), oracle.hess(nonzero))
