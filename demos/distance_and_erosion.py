@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from aniso import (
+    PowerLawFit,
     ShapeSpec,
     WulffShape,
     check_erosion_laws,
@@ -45,8 +46,10 @@ for frac in (0.2, 0.4, 0.6):
     print(f"  r = {frac:.1f} rbar: measured {vol:.5f}  predicted {pred:.5f}  "
           f"({(vol - pred) / pred:+.2%})")
 
-print("\nThe full driver also fits the power law in (rbar - r):")
-rep, fit = check_erosion_laws(ShapeSpec("wulff", norm, r=rbar))
+print("\nThe full driver also fits the power law in (rbar - r); like every")
+print("driver it returns one report, with the fit in extras['power_law']:")
+rep = check_erosion_laws(ShapeSpec("wulff", norm, r=rbar))
+fit = PowerLawFit(**rep.extras["power_law"])
 print(f"  exponent {fit.exponent:.4f} (n+1 = 2), amplitude {fit.amplitude:.4f}, "
       f"all checks passed: {rep.passed}")
 

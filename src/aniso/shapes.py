@@ -46,8 +46,8 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("wulff", "perturbed-wulff", "two-bubble", "tangent-union"):
             raise InvalidArgumentError(f"unknown shape kind {self.kind!r}")
-        if self.r <= 0:
-            raise InvalidArgumentError("radius must be positive")
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise InvalidArgumentError(f"radius must be finite and positive, got {self.r!r}")
         if self.kind == "perturbed-wulff" and not (0.0 <= self.eps < 0.3):
             raise InvalidArgumentError("perturbation amplitude must satisfy 0 <= eps < 0.3")
         if self.kind == "two-bubble" and not (0.0 < self.neck_width < self.r / 2):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _svg
-from .errors import DepthRangeError, InsufficientDataError, InvalidArgumentError
+from .errors import DepthRangeError, InsufficientDataError
 from .grid import (
     Translate,
     Union,
@@ -51,7 +51,6 @@ from .grid import (
 from .mesh import aniso_area, curvature, enclosed_volume, lambda_of, lp_deviation
 from .norms import LinfNorm, Norm
 from .shapes import (
-    GeneratedShape,
     ShapeSpec,
     gen,
     norm_sequence,
@@ -195,44 +194,44 @@ def fit_power_law(gaps, values) -> PowerLawFit:
 # shared measurement helpers
 
 
-def _as_generated(shape, resolution):
-    if isinstance(shape, GeneratedShape):
-        return shape
-    if isinstance(shape, ShapeSpec):
-        dim = shape.norm.dim
-        resolution = DEFAULTS[dim]["resolution"] if resolution is None else resolution
-        return gen(shape, resolution=resolution)
-    raise InvalidArgumentError("expected a ShapeSpec or GeneratedShape")
+def _mesh_resolution(dim, resolution):
+    return DEFAULTS[dim]["resolution"] if resolution is None else resolution
 
 
 def _coarser(resolution, dim):
     return resolution - 1 if dim == 3 else max(resolution // 2, 16)
 
 
-def _surface_stats(g: GeneratedShape, resolution=None):
-    """Volume, perimeter, lambda, rbar and curvature deviation of a shape.
+def _surface_stats(spec: ShapeSpec, resolution):
+    """The generated shape, and its volume, perimeter, lambda, rbar and curvature deviation.
 
-    When the originating spec is available, volume and perimeter are
-    Richardson-extrapolated over two mesh resolutions (both converge at
-    second order in the mesh width), which removes the chordal bias from
-    lambda and rbar; the curvature field always comes from the finer mesh.
+    Volume and perimeter are Richardson-extrapolated over two mesh
+    resolutions (both converge at second order in the mesh width), which
+    removes the chordal bias from lambda and rbar; the curvature field
+    comes from the finer mesh.
     """
-    norm = g.spec.norm
+    norm = spec.norm
+    resolution = _mesh_resolution(norm.dim, resolution)
+    g = gen(spec, resolution=resolution)
     mesh = g.mesh
     n = mesh.n
+    coarse = gen(spec, resolution=_coarser(resolution, norm.dim)).mesh
     vol = enclosed_volume(mesh)
+    vol = vol + (vol - enclosed_volume(coarse)) / 3.0
     per = aniso_area(mesh, norm)
-    if resolution is not None:
-        coarse = gen(g.spec, resolution=_coarser(resolution, norm.dim)).mesh
-        vol = vol + (vol - enclosed_volume(coarse)) / 3.0
-        per = per + (per - aniso_area(coarse, norm)) / 3.0
+    per = per + (per - aniso_area(coarse, norm)) / 3.0
     lam = n * per / ((n + 1) * vol)
     rbar = n / lam
     f = curvature(mesh, norm)
     dev = lp_deviation(f, mesh, lam, p=n)
     dev1 = lp_deviation(f, mesh, lam, p=1)
-    return {"volume": vol, "perimeter": per, "lambda": lam, "rbar": rbar,
-            "dev_ln": dev, "dev_l1": dev1, "curvature": f}
+    return g, {"volume": vol, "perimeter": per, "lambda": lam, "rbar": rbar,
+               "dev_ln": dev, "dev_l1": dev1}
+
+
+def _field(solid, norm, spacing, k, margin=2):
+    """Distance field of the norm's polar metric on the solid rasterized at spacing."""
+    return distance_transform(rasterize(solid, spacing, margin=margin), norm.dual(), k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,7 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
         rep.extras["volume"] = vol
         rep.extras["perimeter"] = per
     else:
-        res = DEFAULTS[dim]["resolution"] if resolution is None else resolution
-        mesh = w.boundary_mesh(resolution=res)
+        mesh = w.boundary_mesh(resolution=_mesh_resolution(dim, resolution))
         vol = enclosed_volume(mesh)
         per = aniso_area(mesh, norm)
         tol = DEFAULTS[dim]["tol_identity"]
@@ -275,22 +273,20 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
 # experiment: erosion volume laws
 
 
-def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
-                       resolution=None):
+def check_erosion_laws(shape: ShapeSpec, radii=None, spacing=None, stencil_order=3,
+                       resolution=None) -> VerificationReport:
     """Measure eroded volumes against both closed-form predictors.
 
-    Returns (report, PowerLawFit).  With curvature deviation dev > 1 the
-    almost-CMC hypothesis fails and rows are recorded without a pass
-    requirement.  Radii at or past rbar raise DepthRangeError.
+    The fitted power law goes to extras["power_law"]; read it back with
+    ``PowerLawFit(**rep.extras["power_law"])``.  With curvature deviation
+    dev > 1 the almost-CMC hypothesis fails and rows are recorded without a
+    pass requirement.  Radii at or past rbar raise DepthRangeError.
     """
     t0 = time.perf_counter()
-    if isinstance(shape, ShapeSpec) and resolution is None:
-        resolution = DEFAULTS[shape.norm.dim]["resolution"]
-    g = _as_generated(shape, resolution)
-    norm = g.spec.norm
+    g, stats = _surface_stats(shape, resolution)
+    norm = shape.norm
     dim = norm.dim
     n = dim - 1
-    stats = _surface_stats(g, resolution=resolution)
     lam, rbar = stats["lambda"], stats["rbar"]
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     radii = np.asarray([0.2, 0.3, 0.4, 0.5, 0.6]) * rbar if radii is None else np.asarray(radii, float)
@@ -299,7 +295,7 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
             f"erosion radii must lie below rbar = {rbar:.6g}, got {float(np.max(radii)):.6g}")
     rep = VerificationReport(
         "erosion",
-        {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,
+        {"shape": shape.kind, "norm": norm.spec_string, "dim": dim,
          "spacing": spacing, "radii": radii.tolist(), "stencil_order": stencil_order},
     )
     dev = stats["dev_ln"]
@@ -309,8 +305,7 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     if not in_regime:
         rep.flags.append("deviation-above-almost-cmc-domain")
     tol = DEFAULTS[dim]["tol_erosion"]
-    vox = rasterize(g.solid, spacing)
-    df = distance_transform(vox, norm.dual(), k=stencil_order)
+    df = _field(g.solid, norm, spacing, stencil_order)
     measured = []
     for r in radii:
         vol_r = erode(df, r).volume()
@@ -335,24 +330,21 @@ def check_erosion_laws(shape, radii=None, spacing=None, stencil_order=3,
     rep.add("power-law-exponent", "erosion_volume_law", n + 1, fit.exponent,
             0.1 / (n + 1), enforce=in_regime)
     rep.wall_time = time.perf_counter() - t0
-    return rep, fit
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # experiment: Minkowski dilation law
 
 
-def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
+def check_minkowski_law(shape: ShapeSpec, pairs=None, spacing=None, stencil_order=3,
                         resolution=None) -> VerificationReport:
     """|erode(r) + W_s| against |E| (rbar - (r - s))^(n+1) / rbar^(n+1)."""
     t0 = time.perf_counter()
-    if isinstance(shape, ShapeSpec) and resolution is None:
-        resolution = DEFAULTS[shape.norm.dim]["resolution"]
-    g = _as_generated(shape, resolution)
-    norm = g.spec.norm
+    g, stats = _surface_stats(shape, resolution)
+    norm = shape.norm
     dim = norm.dim
     n = dim - 1
-    stats = _surface_stats(g, resolution=resolution)
     rbar = stats["rbar"]
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     pairs = [(0.2, 0.5), (0.1, 0.3)] if pairs is None else pairs
@@ -360,13 +352,12 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
         raise DepthRangeError("pairs must satisfy 0 < s < r < rbar")
     rep = VerificationReport(
         "minkowski",
-        {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,
+        {"shape": shape.kind, "norm": norm.spec_string, "dim": dim,
          "spacing": spacing, "pairs": [list(p) for p in pairs],
          "stencil_order": stencil_order},
     )
     rep.extras.update({"rbar": rbar, "volume": stats["volume"], "dev_ln": stats["dev_ln"]})
-    vox = rasterize(g.solid, spacing, margin=3)
-    df = distance_transform(vox, norm.dual(), k=stencil_order)
+    df = _field(g.solid, norm, spacing, stencil_order, margin=3)
     base_tol = DEFAULTS[dim]["tol_minkowski"]
     r_ref = 0.5 * rbar
     for s_frac, r_frac in pairs:
@@ -386,7 +377,7 @@ def check_minkowski_law(shape, pairs=None, spacing=None, stencil_order=3,
 # experiment: ray disintegration of the volume
 
 
-def check_disintegration(shape, resolution=None, spacing=None,
+def check_disintegration(shape: ShapeSpec, resolution=None, spacing=None,
                          stencil_order=3) -> VerificationReport:
     """Boundary-ray quadrature of the volume against the divergence theorem.
 
@@ -396,22 +387,21 @@ def check_disintegration(shape, resolution=None, spacing=None,
     inward reach measured on the distance field.
     """
     t0 = time.perf_counter()
-    g = _as_generated(shape, resolution)
-    norm = g.spec.norm
+    norm = shape.norm
     dim = norm.dim
     n = dim - 1
+    g = gen(shape, resolution=_mesh_resolution(dim, resolution))
     mesh = g.mesh
     rep = VerificationReport(
         "disintegration",
-        {"shape": g.spec.kind, "norm": norm.spec_string, "dim": dim,
+        {"shape": shape.kind, "norm": norm.spec_string, "dim": dim,
          "spacing": spacing, "resolution": resolution},
     )
     vol = enclosed_volume(mesh)
     f = curvature(mesh, norm)
     rbar_guess = n / max(lambda_of(mesh, norm), 1e-12)
     spacing = rbar_guess * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
-    vox = rasterize(g.solid, spacing)
-    df = distance_transform(vox, norm.dual(), k=stencil_order)
+    df = _field(g.solid, norm, spacing, stencil_order)
     eta = -norm.grad(mesh.normals)
     tau = reach_along_batch(df, mesh.vertices, eta)
     failures = int(np.sum(tau <= 2 * spacing))
@@ -428,7 +418,7 @@ def check_disintegration(shape, resolution=None, spacing=None,
     quad = float(np.sum(mesh.vertex_areas * weight * integral))
     rep.extras.update({"tau_failures": failures, "n_vertices": len(tau),
                        "spacing": spacing})
-    tol = 0.03 if getattr(g.spec, "eps", 0.0) == 0.0 and g.spec.kind == "wulff" else 0.05
+    tol = 0.03 if shape.eps == 0.0 and shape.kind == "wulff" else 0.05
     rep.add("disintegration-volume", "ray_disintegration", vol, quad, tol)
     rep.wall_time = time.perf_counter() - t0
     return rep
@@ -475,11 +465,11 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
         else:
             spec_h = ShapeSpec("perturbed-wulff", norm_h, r=rbar,
                                eps=2.0 ** (-h) * 0.5, pattern=base_spec.pattern)
-        g = gen(spec_h, resolution=resolution)
+        g = gen(spec_h, resolution=_mesh_resolution(dim, resolution))
         f = curvature(g.mesh, norm_h)
         dev_h = lp_deviation(f, g.mesh, lam, p=n)
-        vox = rasterize(g.solid, spacing, margin=3)
-        df = distance_transform(vox, norm_h.dual(), k=stencil_order)
+        df = _field(g.solid, norm_h, spacing, stencil_order, margin=3)
+        vox = df.voxels
         # the middle probe depth's labels also give the bubble centers
         counts = []
         for i, frac in enumerate(_PROBE_FRACS):

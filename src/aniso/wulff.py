@@ -79,8 +79,8 @@ class WulffShape:
     """The dual-norm ball of radius r for a given norm."""
 
     def __init__(self, norm: Norm, r=1.0):
-        if r <= 0:
-            raise InvalidArgumentError("radius must be positive")
+        if not (np.isfinite(r) and r > 0):
+            raise InvalidArgumentError(f"radius must be finite and positive, got {r!r}")
         self.norm = norm
         self.r = float(r)
         self.dual = norm.dual()

@@ -112,12 +112,37 @@ class TestRun:
         "spacing=nan", "spacing=-1", "spacing=inf", "radii=0.3,nan", "radii=0,0.6",
         "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",
         "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0",
-        "sequence=foo", "hsteps=0,1"])
+        "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
+        "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert line.split("=")[0] in capsys.readouterr().err
+
+    def test_bad_value_names_line_and_key(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("experiment=erosion\n# two\nspacing=abc\n")
+        assert str(info.value) == "line 3: spacing: could not convert string to float: 'abc'"
+
+    def test_tol_rejudges_measured_rows_only(self, tmp_path, monkeypatch):
+        # a failed condition row stays failed under any tol; a measured row is re-judged
+        from aniso.verify import VerificationReport
+
+        def driver(*args, **kwargs):
+            rep = VerificationReport("minkowski", {})
+            rep.add("measured", "law", 1.0, 1.5, 0.1)
+            rep.add_condition("condition", "law", False, "detail")
+            return rep
+
+        monkeypatch.setattr("aniso.cli.check_minkowski_law", driver)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=minkowski\ndim=2\ntol=1\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_FAIL
+        measured, condition = json.loads(
+            (tmp_path / "out" / "report.json").read_text())["reports"][0]["rows"]
+        assert measured["tol"] == 1.0 and measured["passed"] is True
+        assert condition["tol"] == 0.0 and condition["passed"] is False
 
     def test_radius_past_rbar_recorded(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -204,6 +229,14 @@ class TestWulffCommand:
         assert main(args + extra) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_radius_named(self, tmp_path, r, capsys):
+        out = tmp_path / "w.txt"
+        assert main(["wulff", "--norm", "euclidean", "--dim", "2", "--r", r,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: radius must be finite and positive, got {r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("dim,resolution", [(2, 0), (2, 2), (2, -5), (3, -1)])
     def test_bad_resolution_exits_config(self, tmp_path, dim, resolution, capsys):

@@ -541,6 +541,11 @@ class TestShapeGrammar:
         with pytest.raises(InvalidArgumentError, match="seed"):
             parse_shape("wulff r=1 seed=3", dim=2, default_norm=EuclideanNorm(2))
 
+    @pytest.mark.parametrize("r", ["0", "nan", "inf", "-inf"])
+    def test_radius_must_be_finite_and_positive(self, r):
+        with pytest.raises(InvalidArgumentError, match="radius must be finite and positive"):
+            parse_shape(f"two-bubble r={r} neck=0.1", dim=2, default_norm=EuclideanNorm(2))
+
     def test_missing_norm_rejected(self):
         with pytest.raises(InvalidArgumentError):
             parse_shape("wulff r=2", dim=2)

@@ -7,6 +7,7 @@ from aniso import (
     EllipseNorm,
     EuclideanNorm,
     InsufficientDataError,
+    PowerLawFit,
     ShapeSpec,
     check_disintegration,
     check_erosion_laws,
@@ -70,12 +71,13 @@ class TestWulffIdentity:
 
 class TestErosion:
     def test_exact_wulff_2d(self):
-        rep, fit = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
+        rep = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
+        fit = PowerLawFit(**rep.extras["power_law"])
         assert rep.passed
         assert fit.exponent == pytest.approx(2.0, abs=0.1)
 
     def test_predictions_only_from_closed_forms(self):
-        rep, _ = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
+        rep = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
         vol, rbar = rep.extras["volume"], rep.extras["rbar"]
         n = 1
         vol_rows = [row for row in rep.rows if row["name"].startswith("erosion-volume-r=")]
@@ -88,14 +90,14 @@ class TestErosion:
         # almost-CMC hypothesis dev <= 1 fails, rows recorded unenforced
         norm = EuclideanNorm(2)
         spec = ShapeSpec("two-bubble", norm, r=1.5, neck_width=0.7)
-        rep, _ = check_erosion_laws(spec, resolution=1024)
+        rep = check_erosion_laws(spec, resolution=1024)
         assert "deviation-above-almost-cmc-domain" in rep.flags
         assert rep.extras["dev_ln"] > 1.0
         assert all(not row["enforced"] for row in rep.rows
                    if row["name"].startswith("erosion-"))
 
     def test_lambda_consistency_row_present(self):
-        rep, _ = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
+        rep = check_erosion_laws(ShapeSpec("wulff", EuclideanNorm(2), r=1.5))
         rows = [r for r in rep.rows if r["name"] == "lambda-consistency"]
         assert len(rows) == 1 and rows[0]["passed"]
 

@@ -4,6 +4,7 @@ import pytest
 from aniso import (
     EllipseNorm,
     EuclideanNorm,
+    InvalidArgumentError,
     L1Norm,
     LinfNorm,
     SmoothedMaxNorm,
@@ -17,6 +18,12 @@ from aniso import (
     wulff_perimeter,
     wulff_volume,
 )
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+def test_radius_must_be_finite_and_positive(r):
+    with pytest.raises(InvalidArgumentError, match="radius must be finite and positive"):
+        WulffShape(EuclideanNorm(2), r)
 
 
 class TestContains:
