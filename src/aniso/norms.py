@@ -56,20 +56,51 @@ def _as_points(v, dim):
 
 
 def _newton(residual, x0, target, what):
-    """Solve value(x) = target, residual(x) = (value, slope), for a batch.
+    """Solve value(x) = target for a batch, point by point.
 
-    Stops once every point is within 1e-14 max(1, |target|) of the target;
-    raises ConvergenceError after 64 steps.
+    ``residual(x, idx)`` gives (value, slope) of the points ``idx`` of the
+    batch (a slice or an index array) at their iterates ``x``.  A point stops
+    at the first step where its own value is within 1e-14 max(1, |target|)
+    of the target, and takes that step too, so its result depends only on its
+    own input, not on the batch it shares.  Stopped points are dropped from
+    the working set only once fewer than half of it still runs.  Raises
+    ConvergenceError after 64 steps.
     """
-    x = x0
+    tol = 1e-14 * max(1.0, abs(target))
+    x = np.array(x0, dtype=float)
+    idx = slice(None)
+    run = np.ones(x.shape, dtype=bool)
     for _ in range(64):
-        value, slope = residual(x)
+        xs = x[idx]
+        value, slope = residual(xs, idx)
         f = value - target
-        x = x - f / slope
-        if np.max(np.abs(f)) < 1e-14 * max(1.0, abs(target)):
+        x[idx] = np.where(run, xs - f / slope, xs)
+        run &= ~(np.abs(f) < tol)
+        left = np.count_nonzero(run)
+        if left == 0:
             return x
+        if 2 * left < run.size:
+            idx = np.flatnonzero(run) if isinstance(idx, slice) else idx[run]
+            f = f[run]
+            run = np.ones(left, dtype=bool)
     raise ConvergenceError(f"{what} Newton solve did not converge in 64 steps",
-                           best=x, gap=float(np.max(np.abs(f))))
+                           best=x, gap=float(np.max(np.abs(f[run]))))
+
+
+# columns per block of a smoothmax solve: a block's working arrays stay
+# within a 2 MB per-core cache, where batches of 10^5 points do not
+_BLOCK = 16384
+
+
+def _by_blocks(solve, rows):
+    """solve applied to blocks of _BLOCK columns of the (d, N) array rows,
+    joined along the last axis.  Exact because every column's solve depends
+    only on that column (see `_newton`)."""
+    n = rows.shape[-1]
+    if n <= _BLOCK:
+        return solve(rows)
+    return np.concatenate([solve(np.ascontiguousarray(rows[:, i:i + _BLOCK]))
+                           for i in range(0, n, _BLOCK)], axis=-1)
 
 
 # The smoothmax kernels hold a batch as contiguous coordinate rows, (d, N),
@@ -193,6 +224,9 @@ class EllipseNorm(Norm):
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise InvalidArgumentError("Q must be a square matrix")
         super().__init__(Q.shape[0])
+        if not np.all(np.isfinite(Q)):
+            raise InvalidArgumentError(
+                f"ellipse entries must be finite, got {float(Q[~np.isfinite(Q)][0])!r}")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise InvalidArgumentError("Q must be symmetric")
         try:
@@ -234,12 +268,18 @@ class WeightedLpNorm(Norm):
 
     def __init__(self, dim, p, weights=None):
         super().__init__(dim)
-        if not (p > 1.0):
-            raise InvalidArgumentError("lp family requires p > 1 (use l1/linf for the crystalline cases)")
-        self.p = float(p)
+        p = float(p)
+        if not (math.isfinite(p) and p > 1.0):
+            raise InvalidArgumentError(
+                f"lp family requires a finite p > 1, got {p!r} "
+                "(use l1/linf for the crystalline cases)")
+        self.p = p
         w = np.ones(dim) if weights is None else np.asarray(weights, dtype=float)
-        if w.shape != (dim,) or np.any(w <= 0):
-            raise InvalidArgumentError("weights must be positive, one per coordinate")
+        if w.shape != (dim,):
+            raise InvalidArgumentError(f"lp weights must have {dim} entries, one per coordinate")
+        bad = w[~(np.isfinite(w) & (w > 0))]
+        if bad.size:
+            raise InvalidArgumentError(f"lp weights must be finite and positive, got {float(bad[0])!r}")
         self.weights = w
 
     def _eval(self, v):
@@ -295,7 +335,7 @@ class SmoothedMaxNorm(Norm):
     def __init__(self, dim, eps):
         super().__init__(dim)
         if not (0.0 < eps <= 0.5):
-            raise InvalidArgumentError("smoothmax requires 0 < eps <= 0.5")
+            raise InvalidArgumentError(f"smoothmax requires 0 < eps <= 0.5, got {eps!r}")
         self.eps = float(eps)
         m = dim
         # log(2*cosh(1/eps) + 2*(m-1)), evaluated without overflow
@@ -310,8 +350,9 @@ class SmoothedMaxNorm(Norm):
         m = _fold(np.maximum, np.abs(vt))
         z = vt / eps
 
-        def residual(sigma):
-            a = z * sigma
+        def residual(sigma, idx):
+            zi = z[:, idx]
+            a = zi * sigma
             ep = np.abs(a)
             mx = _fold(np.maximum, ep)
             np.exp(np.subtract(a, mx, out=ep), out=ep)
@@ -319,7 +360,7 @@ class SmoothedMaxNorm(Norm):
             np.exp(np.subtract(en, mx, out=en), out=en)
             both = ep + en
             ssum = _fold(np.add, both)
-            np.multiply(z, np.subtract(ep, en, out=both), out=both)
+            np.multiply(zi, np.subtract(ep, en, out=both), out=both)
             return mx + np.log(ssum), _fold(np.add, both) / ssum
 
         # starts above the root: F(sigma0) >= 0
@@ -329,7 +370,7 @@ class SmoothedMaxNorm(Norm):
         out = np.zeros(v.shape[:-1])
         nz = _fold(np.maximum, np.abs(v.T)) > 0.0
         if np.any(nz):
-            out[nz] = 1.0 / self._solve_sigma(np.ascontiguousarray(v.T[:, nz]))
+            out[nz] = 1.0 / _by_blocks(self._solve_sigma, np.ascontiguousarray(v.T[:, nz]))
         return out
 
     def _g_grad_rows(self, ut):
@@ -407,8 +448,8 @@ class _SmoothedMaxPolar(Norm):
             lu = np.log(np.abs(ut))
         l1 = _fold(np.add, np.abs(ut))
 
-        def residual(theta):
-            a = np.add(lu, theta)
+        def residual(theta, idx):
+            a = np.add(lu[:, idx], theta)
             np.multiply(a, 2.0, out=a)
             # term = log sqrt(1 + t^2 u_i^2) = softplus(a) / 2
             term = np.abs(a)
@@ -430,14 +471,14 @@ class _SmoothedMaxPolar(Norm):
 
     def _grad(self, u):
         # the gradient of a support function is its maximizer
-        return self._maximizer(u.T.copy()).T.copy()
+        return _by_blocks(self._maximizer, u.T.copy()).T.copy()
 
     def _eval(self, v):
         out = np.zeros(v.shape[:-1])
         nz = _fold(np.maximum, np.abs(v.T)) > 0.0
         if np.any(nz):
             ut = np.ascontiguousarray(v.T[:, nz])
-            out[nz] = _fold(np.add, ut * self._maximizer(ut))
+            out[nz] = _fold(np.add, ut * _by_blocks(self._maximizer, ut))
         return out
 
     def _hess(self, v):
@@ -780,6 +821,14 @@ def tangential_hessian_eigs(norm: Norm, samples):
 # norm grammar
 
 
+def _number(text, what):
+    """float(text), or an InvalidArgumentError naming the entry."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidArgumentError(f"{what} must be a number, got {text!r}") from None
+
+
 def parse_norm(text, dim) -> Norm:
     """Parse a norm specification string.
 
@@ -800,17 +849,17 @@ def parse_norm(text, dim) -> Norm:
         parts = rest.split(":")
         if not parts or not parts[0]:
             raise InvalidArgumentError("lp requires an exponent: lp:<p>[:w1,...]")
-        p = float(parts[0])
+        p = _number(parts[0], "lp exponent")
         weights = None
         if len(parts) > 1:
-            weights = [float(x) for x in parts[1].split(",")]
+            weights = [_number(x, "lp weight") for x in parts[1].split(",")]
             if len(weights) != dim:
                 raise InvalidArgumentError(f"lp weights must have {dim} entries")
         return WeightedLpNorm(dim, p, weights)
     if head == "ellipse":
         if not rest:
             raise InvalidArgumentError("ellipse requires matrix entries")
-        entries = np.array([float(x) for x in rest.split(",")])
+        entries = np.array([_number(x, "ellipse entry") for x in rest.split(",")])
         n_diag, n_tri, n_full = dim, dim * (dim + 1) // 2, dim * dim
         if entries.size == n_diag:
             Q = np.diag(entries)
@@ -831,5 +880,5 @@ def parse_norm(text, dim) -> Norm:
     if head == "smoothmax":
         if not rest:
             raise InvalidArgumentError("smoothmax requires an epsilon")
-        return SmoothedMaxNorm(dim, float(rest))
+        return SmoothedMaxNorm(dim, _number(rest, "smoothmax eps"))
     raise InvalidArgumentError(f"unknown norm family {head!r}")

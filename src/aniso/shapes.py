@@ -26,7 +26,7 @@ from .errors import GeometryError, InvalidArgumentError
 from .mesh import TriSurface
 from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, parse_norm, tangent_basis,
                     unit_sphere_samples)
-from .wulff import WulffShape, circle_points, closed_loop_faces, icosphere
+from .wulff import WulffShape, _sphere_sample
 from .grid import Translate, Union
 
 
@@ -60,14 +60,6 @@ class GeneratedShape:
     mesh: TriSurface
     solid: object                 # contains_points / bounds / level_at
     meta: dict = field(default_factory=dict)
-
-
-def _sphere_sample(dim, resolution):
-    if dim == 3:
-        level = 5 if resolution is None else int(resolution)
-        return icosphere(level)
-    count = 2048 if resolution is None else int(resolution)
-    return circle_points(count), closed_loop_faces(count)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +162,8 @@ class _TwoBubbleProfile:
     u_axis == 0.  Inside the neck band the blend's edge value and slope depend
     on the ray only through its meridian (u with the axis part removed,
     normalized) and its side of the equator, so they are solved once per
-    distinct (meridian, side) pair.
+    distinct (meridian, side) pair, in the same union solve as the rays
+    themselves (`_radii`).
     """
 
     def __init__(self, norm, r, neck_width, axis=0):
@@ -277,25 +270,26 @@ class _TwoBubbleProfile:
         return 0.5 * self.w / self.dual.eval(u_perp)
 
     def __call__(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return self._with_neck(u, self.union_rho(u))
+        return self._radii(np.atleast_2d(np.asarray(u, dtype=float)))[1]
 
-    def _with_neck(self, u, rho_union):
-        """The profile at rays u, given their union radii rho_union."""
+    def _radii(self, u):
+        """(union, profile) radii at rays u, from one union solve.
+
+        The neck's edge rays join that solve: one ray and its two
+        finite-difference neighbours per distinct (meridian, side) of the band
+        rays.  A union radius depends only on its own ray, so each is the one
+        a separate call would give, bit for bit.
+        """
+        n = len(u)
         theta = np.arccos(np.clip(u[:, self.axis], -1.0, 1.0))
-        out = rho_union.copy()
         band = np.abs(theta - np.pi / 2) < self.beta
-        if np.any(band):
-            out[band] = self._blend(u[band], theta[band], rho_union[band])
-        return out
-
-    def _blend(self, u, theta, rho_union):
-        # meridian through u: direction(t) = cos(t) e_axis + sin(t) m_hat
-        sa = np.sin(theta)
-        m = u.copy()
+        # meridian through each band ray: direction(t) = cos(t) e_axis + sin(t) m
+        tb = theta[band]
+        sa = np.sin(tb)
+        m = u[band]
         m[:, self.axis] = 0.0
         m /= np.where(sa[:, None] > 1e-12, sa[:, None], 1.0)
-        side = np.where(theta <= np.pi / 2, 1.0, -1.0)
+        side = np.where(tb <= np.pi / 2, 1.0, -1.0)
         t_edge = np.pi / 2 - side * self.beta
 
         def direction(t, mer):
@@ -304,37 +298,51 @@ class _TwoBubbleProfile:
             d += np.sin(t)[:, None] * mer
             return d
 
-        # edge data per distinct (meridian, side); the edge ray and its two
-        # finite-difference neighbours go through one union solve
+        # edge data per distinct (meridian, side)
         _, first, inv = np.unique(np.column_stack([m, side]), axis=0,
                                   return_index=True, return_inverse=True)
         inv = inv.ravel()                  # numpy 2.0.0 returns a column here
         m_k, t_k = m[first], t_edge[first]
         dt = 1e-5
-        rho_e, rho_p, rho_m = np.split(
-            self.union_rho(direction(np.concatenate([t_k, t_k + dt, t_k - dt]),
-                                     np.concatenate([m_k, m_k, m_k]))), 3)
+        edge = direction(np.concatenate([t_k, t_k + dt, t_k - dt]),
+                         np.concatenate([m_k, m_k, m_k]))
+        rho = self.union_rho(np.concatenate([u, edge]))
+        union = rho[:n]
+        rho_e, rho_p, rho_m = np.split(rho[n:], 3)
         rho_e_d = (rho_p - rho_m) / (2 * dt)
         rho_c = self.waist_rho(direction(np.full(len(m_k), np.pi / 2), m_k))
         rho_e, rho_e_d, rho_c = rho_e[inv], rho_e_d[inv], rho_c[inv]
         # cubic Hermite on [t_edge, pi/2]: value/slope at the edge from the
         # union profile, waist value with zero slope at the equator
         span = np.pi / 2 - t_edge
-        s = (theta - t_edge) / span
+        s = (tb - t_edge) / span
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
         h01 = -2 * s**3 + 3 * s**2
         blended = h00 * rho_e + h10 * span * rho_e_d + h01 * rho_c
-        return np.maximum(blended, rho_union)
+        profile = union.copy()
+        profile[band] = np.maximum(blended, union[band])
+        return union, profile
 
-    def validate(self, samples=4096):
-        u = unit_sphere_samples(self.dim, samples)
-        rho = self(u)
+    def _radii_sets(self, sets):
+        """_radii of each ray set, from one solve: (unions, profiles) lists."""
+        union, profile = self._radii(np.concatenate(sets))
+        cut = np.cumsum([len(s) for s in sets])[:-1]
+        return np.split(union, cut), np.split(profile, cut)
+
+    def validate(self, *more):
+        """Check the radii on 4,096 sphere samples and bound the neck pocket.
+
+        The ray sets ``more`` join the same solve; returns their profile radii.
+        """
+        u = unit_sphere_samples(self.dim, 4096)
+        _, (rho, *rest) = self._radii_sets([u, *more])
         if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
             raise GeometryError("two-bubble radial profile degenerate; widen the neck")
         theta = np.arccos(np.clip(u[:, self.axis], -1, 1))
         band = np.abs(theta - np.pi / 2) < self.beta
         self._band_rho_bound = float(np.max(rho[band])) * 1.05 if np.any(band) else 0.0
+        return rest
 
     # fast solid-level evaluation: the two balls dominate everywhere except a
     # small radial pocket around the waist, where the blend profile is added
@@ -431,31 +439,37 @@ class TwoBubbleSolid:
 
 def _gen_two_bubble(spec, resolution):
     profile = _TwoBubbleProfile(spec.norm, spec.r, spec.neck_width)
-    profile.validate()
     u, faces = _sphere_sample(spec.norm.dim, resolution)
-    rho = profile(u)
+    t, probes = _tangent_probes(u)
+    # validate's samples, the mesh rays and the normals' probes in one solve
+    rho, *probe_rho = profile.validate(u, *probes)
     verts = rho[:, None] * u
-    mesh = TriSurface(verts, faces, normals=_radial_graph_normals(u, rho, profile))
+    mesh = TriSurface(verts, faces, normals=_radial_graph_normals(u, rho, t, probe_rho))
     solid = TwoBubbleSolid(profile)
     centers = np.stack([-profile.center_offset, profile.center_offset])
     return GeneratedShape(spec, mesh, solid,
                           meta={"centers": centers, "beta": profile.beta})
 
 
-def _radial_graph_normals(u, rho, profile):
-    """Outward normals of x = rho(u) u: proportional to u - (grad_S rho)/rho."""
-    t = tangent_basis(u)                            # (N, d, d-1)
-    dt = 1e-5
-    nk = t.shape[-1]
+_NORMAL_STEP = 1e-5
+
+
+def _tangent_probes(u):
+    """The tangent basis t of u, (N, d, d-1), and the unit rays u +- dt t_k."""
+    t = tangent_basis(u)
     probes = []
-    for k in range(nk):
+    for k in range(t.shape[-1]):
         for sgn in (1.0, -1.0):
-            p = u + sgn * dt * t[..., k]
+            p = u + sgn * _NORMAL_STEP * t[..., k]
             probes.append(p / np.linalg.norm(p, axis=-1, keepdims=True))
-    vals = profile(np.concatenate(probes, axis=0))
-    n = len(u)
-    grads = [(vals[2 * k * n:(2 * k + 1) * n] - vals[(2 * k + 1) * n:(2 * k + 2) * n]) / (2 * dt)
-             for k in range(nk)]
+    return t, probes
+
+
+def _radial_graph_normals(u, rho, t, probe_rho):
+    """Outward normals of x = rho(u) u: proportional to u - (grad_S rho)/rho,
+    with probe_rho the radii at the rays of `_tangent_probes`."""
+    grads = [(probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * _NORMAL_STEP)
+             for k in range(t.shape[-1])]
     nrm = u - sum(g[:, None] * t[..., k] for k, g in enumerate(grads)) / rho[:, None]
     return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
@@ -562,24 +576,23 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
     p_ball = _wulff_ball_perimeter(profile.dual, profile.r,
                                    n_ball if norm.dim == 3 else 100_000)
     if norm.dim == 2:
-        n = 4096
-        beta = profile.beta
+        # both bands' rays and their +-1e-6 neighbours go through one solve
+        bands = [np.linspace(center - profile.beta, center + profile.beta, 4096)
+                 for center in (np.pi / 2, -np.pi / 2)]
+        rho_u, rho_b = profile._radii_sets(
+            [_rot2(a) for alpha in bands for a in (alpha, alpha + 1e-6, alpha - 1e-6)])
         corr = 0.0
-        for center in (np.pi / 2, -np.pi / 2):
-            alpha = np.linspace(center - beta, center + beta, n)
-            da = alpha[1] - alpha[0]
-            u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        for i, alpha in enumerate(bands):
+            u = _rot2(alpha)
             t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
-            rho_u, rho_b = _union_and_profile(
-                profile, [u, _rot2(alpha + 1e-6), _rot2(alpha - 1e-6)])
 
             def vec_of(rho, rho_plus, rho_minus):
                 drho = (rho_plus - rho_minus) / 2e-6
                 return rho[:, None] * u - drho[:, None] * t
 
-            vb = vec_of(*rho_b)
-            vu = vec_of(*rho_u)
-            corr += float(np.sum(norm.eval(vb) - norm.eval(vu)) * da)
+            vb = vec_of(*rho_b[3 * i:3 * i + 3])
+            vu = vec_of(*rho_u[3 * i:3 * i + 3])
+            corr += float(np.sum(norm.eval(vb) - norm.eval(vu)) * (alpha[1] - alpha[0]))
         return 2 * p_ball + corr
     n_theta, n_psi = n_band
     beta = profile.beta
@@ -601,7 +614,7 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
     d = 1e-6
     probes = [dir_of(th, ps).reshape(-1, 3)
               for th, ps in ((tg, pg), (tg + d, pg), (tg - d, pg), (tg, pg + d), (tg, pg - d))]
-    rho_u, rho_b = _union_and_profile(profile, probes)
+    rho_u, rho_b = profile._radii_sets(probes)
 
     def vec_of(rhos):
         rho, rho_tp, rho_tm, rho_pp, rho_pm = (r.reshape(tg.shape) for r in rhos)
@@ -624,12 +637,6 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
     diff = (norm.eval(vb.reshape(-1, 3)) - norm.eval(vu.reshape(-1, 3))).reshape(tg.shape)
     corr = float(np.sum(diff * np.sin(tg)) * dt_h * dp)
     return 2 * p_ball + corr
-
-
-def _union_and_profile(profile, probes):
-    """Union radii and profile radii at each probe set, one union solve per set."""
-    rho_u = [profile.union_rho(p) for p in probes]
-    return rho_u, [profile._with_neck(p, r) for p, r in zip(probes, rho_u)]
 
 
 def _rot2(alpha):

@@ -71,6 +71,16 @@ def closed_loop_faces(count):
     return np.stack([idx, np.roll(idx, -1)], axis=-1)
 
 
+def _sphere_sample(dim, resolution=None):
+    """Unit directions and faces of a closed sphere mesh: ``resolution``
+    points on the circle in 2D (default 2,048), an icosphere of that
+    subdivision level in 3D (default 5, 10,242 vertices)."""
+    if dim == 3:
+        return icosphere(5 if resolution is None else int(resolution))
+    count = 2048 if resolution is None else int(resolution)
+    return circle_points(count), closed_loop_faces(count)
+
+
 # ---------------------------------------------------------------------------
 # Wulff shapes
 
@@ -121,7 +131,8 @@ class WulffShape:
         """Closed oriented boundary mesh.
 
         Vertices sit at r * grad(phi)(u_k) over a quasi-uniform sphere sample,
-        and u_k is stored as the exact outward normal.
+        and u_k is stored as the exact outward normal.  ``resolution`` is
+        that of `_sphere_sample`.
         """
         if self.is_crystalline:
             raise UnsupportedOperationError(
@@ -129,13 +140,7 @@ class WulffShape:
                 "use crystalline_polytope")
         if not self.norm.strictly_convex:
             raise UnsupportedOperationError("boundary mesh needs a strictly convex norm")
-        if self.dim == 3:
-            level = 4 if resolution is None else int(resolution)
-            u, faces = icosphere(level)
-        else:
-            count = 512 if resolution is None else int(resolution)
-            u = circle_points(count)
-            faces = closed_loop_faces(count)
+        u, faces = _sphere_sample(self.dim, resolution)
         return TriSurface(self.r * self.norm.grad(u), faces, normals=u)
 
     def polytope(self):

@@ -238,6 +238,18 @@ class TestWulffCommand:
         assert capsys.readouterr().err == f"error: radius must be finite and positive, got {r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim,spec,message", [
+        (2, "lp:abc", "lp exponent must be a number, got 'abc'"),
+        (3, "lp:3:1,1,nan", "lp weights must be finite and positive, got nan"),
+        (2, "lp:inf", "lp family requires a finite p > 1, got inf"),
+        (2, "ellipse:1,inf", "ellipse entries must be finite, got inf")])
+    def test_bad_norm_entry_named(self, tmp_path, dim, spec, message, capsys):
+        out = tmp_path / "w.txt"
+        assert main(["wulff", "--norm", spec, "--dim", str(dim), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("dim,resolution", [(2, 0), (2, 2), (2, -5), (3, -1)])
     def test_bad_resolution_exits_config(self, tmp_path, dim, resolution, capsys):
         out = tmp_path / "w.txt"
@@ -298,6 +310,16 @@ class TestDtCommand:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec,message", [
+        ("ellipse:1,x", "ellipse entry must be a number, got 'x'"),
+        ("lp:2:1,nan", "lp weights must be finite and positive, got nan")])
+    def test_bad_norm_entry_named(self, tmp_path, spec, message, capsys):
+        vox_path = tmp_path / "ball.vox"
+        rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=2).save(vox_path)
+        assert main(["dt", "--in", str(vox_path), "--norm", spec,
+                     "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_margin_exits_config(self, tmp_path, capsys):
         vox_path = tmp_path / "ball.vox"

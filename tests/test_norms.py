@@ -20,7 +20,7 @@ from aniso import (
     parse_norm,
     unit_sphere_samples,
 )
-from aniso.norms import _asinh_of_exp, _newton, _SmoothedMaxPolar
+from aniso.norms import _BLOCK, _asinh_of_exp, _newton, _SmoothedMaxPolar
 
 ALL_SPECS_2D = ["euclidean", "ellipse:1,4", "lp:3", "smoothmax:0.1", "l1", "linf"]
 ALL_SPECS_3D = ["euclidean", "ellipse:1,4,2", "lp:3", "smoothmax:0.1", "l1", "linf"]
@@ -352,6 +352,25 @@ class TestGrammar:
         with pytest.raises(InvalidArgumentError):
             parse_norm("smoothmax:0.9", 2)   # level set no longer a gauge body
 
+    @pytest.mark.parametrize("spec,message", [
+        ("lp:abc", "lp exponent must be a number, got 'abc'"),
+        ("lp:2:1,x", "lp weight must be a number, got 'x'"),
+        ("ellipse:1,x", "ellipse entry must be a number, got 'x'"),
+        ("smoothmax:", "smoothmax requires an epsilon"),
+        ("smoothmax:0.1x", "smoothmax eps must be a number, got '0.1x'"),
+        ("lp:nan", "lp family requires a finite p > 1, got nan"),
+        ("lp:inf", "lp family requires a finite p > 1, got inf"),
+        ("lp:2:1,nan", "lp weights must be finite and positive, got nan"),
+        ("lp:2:inf,1", "lp weights must be finite and positive, got inf"),
+        ("lp:2:1,0", "lp weights must be finite and positive, got 0.0"),
+        ("ellipse:1,nan", "ellipse entries must be finite, got nan"),
+        ("ellipse:1,0,inf", "ellipse entries must be finite, got inf"),
+        ("smoothmax:nan", "smoothmax requires 0 < eps <= 0.5, got nan")])
+    def test_bad_entries_named(self, spec, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            parse_norm(spec, 2)
+        assert str(info.value).startswith(message)
+
 
 class TestSequenceComparability:
     def test_two_sided_bounds_uniform_in_h(self):
@@ -448,13 +467,14 @@ class _RowMajorGauge(SmoothedMaxNorm):
         m = np.max(np.abs(v), axis=-1)
         z = v / eps
 
-        def residual(sigma):
-            a = z * sigma[:, None]
+        def residual(sigma, idx):
+            zi = z[idx]
+            a = zi * sigma[:, None]
             mx = np.max(np.abs(a), axis=-1)
             ep = np.exp(a - mx[:, None])
             en = np.exp(-a - mx[:, None])
             ssum = np.sum(ep + en, axis=-1)
-            return mx + np.log(ssum), np.sum(z * (ep - en), axis=-1) / ssum
+            return mx + np.log(ssum), np.sum(zi * (ep - en), axis=-1) / ssum
 
         return _newton(residual, target * eps / m, target, "smoothmax gauge")
 
@@ -499,8 +519,8 @@ class _RowMajorPolar(_SmoothedMaxPolar):
             lu = np.log(np.abs(u))
         l1 = np.sum(np.abs(u), axis=-1)
 
-        def residual(theta):
-            a = 2.0 * (theta[:, None] + lu)
+        def residual(theta, idx):
+            a = 2.0 * (theta[:, None] + lu[idx])
             term = 0.5 * _row_softplus(a)
             mx = np.max(term, axis=-1, keepdims=True)
             w = np.exp(term - mx)
@@ -547,3 +567,44 @@ class TestSmoothmaxColumnKernels:
             if len(nonzero):
                 assert np.array_equal(norm.grad(nonzero), oracle.grad(nonzero))
                 assert np.array_equal(norm.hess(nonzero), oracle.hess(nonzero))
+
+
+@st.composite
+def _smoothmax_subsets(draw):
+    """A smoothmax eps in [2^-8, 0.5], a batch of 1..600 points and a subset
+    of it.  A quarter of the points lie on the tangency plane of the unit
+    two-bubble seen from a ball centre (y_0 = -c_0 with c = grad phi(e_0)),
+    and a quarter on the plane y_0 = 0."""
+    dim = draw(st.sampled_from((2, 3)))
+    eps = 2.0 ** -draw(st.floats(1.0, 8.0))
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(_SEEDS))
+    v = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+    v[:n // 4, 0] = -SmoothedMaxNorm(dim, eps).grad(np.eye(dim)[0])[0]
+    v[n // 4:n // 2, 0] = 0.0
+    keep = rng.random(n) < draw(st.sampled_from((0.01, 0.3, 0.9)))
+    return dim, eps, v, keep
+
+
+class TestSmoothmaxBatchIndependence:
+    @settings(max_examples=40, deadline=None)
+    @given(_smoothmax_subsets())
+    def test_subset_equals_full_batch(self, case):
+        # every point stops its own Newton solve, so a value does not depend
+        # on the points that share its batch
+        dim, eps, v, keep = case
+        norm = SmoothedMaxNorm(dim, eps)
+        for phi in (norm, norm.dual()):
+            assert np.array_equal(phi.eval(v[keep]), phi.eval(v)[keep])
+            assert np.array_equal(phi.grad(v[keep]), phi.grad(v)[keep])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocks_equal_small_batches(self, dim):
+        # a batch longer than a block is solved block by block, and each
+        # value is the one a small batch of its own gives
+        v = np.random.default_rng(dim).normal(size=(2 * _BLOCK + 77, dim))
+        norm = SmoothedMaxNorm(dim, 0.125)
+        for phi in (norm, norm.dual()):
+            for op in (phi.eval, phi.grad):
+                small = [op(v[i:i + 1000]) for i in range(0, len(v), 1000)]
+                assert np.array_equal(op(v), np.concatenate(small))

@@ -61,6 +61,16 @@ class TestGenerators:
         assert np.max(np.abs(g.mesh.vertices - m.vertices)) < 1e-12
         assert np.max(np.abs(g.mesh.normals - m.normals)) < 1e-10
 
+    @pytest.mark.parametrize("dim,vertices", [(2, 2048), (3, 10242)])
+    def test_one_default_resolution(self, dim, vertices):
+        # every kind, and boundary_mesh itself, resolves a missing resolution
+        # the same way
+        norm = EuclideanNorm(dim)
+        meshes = [gen(ShapeSpec("wulff", norm, r=1.5)).mesh,
+                  gen(ShapeSpec("perturbed-wulff", norm, r=1.5, eps=0.0)).mesh,
+                  WulffShape(norm, 1.5).boundary_mesh()]
+        assert [len(m.vertices) for m in meshes] == [vertices] * 3
+
     def test_perturbed_solid_matches_mesh(self):
         norm = EllipseNorm(np.diag([1.0, 4.0]))
         g = gen(ShapeSpec("perturbed-wulff", norm, r=1.5, eps=0.1, pattern=1),
@@ -452,13 +462,28 @@ class TestTwoBubbleProfileReference:
 
     @pytest.mark.parametrize("dim,spec", [c for c in _PROFILE_NORMS if "smoothmax" in c[1]])
     def test_solid_level_is_min_of_both_balls_pointwise(self, dim, spec, rng):
-        # the smoothmax polar solve stops when the worst point of its batch
-        # converges, so its last bits depend on the batch: compare one point
-        # at a time, where every evaluation sees the same batch
+        # each point stops its own smoothmax polar solve, so the far ball's
+        # values on its subset are the whole batch's, bit for bit
         p = self._profile(dim, spec)
-        pts = self._level_points(p, 300, rng)
-        for x in pts:
-            assert np.array_equal(p.solid_level(x[None]), self._both_balls(p, x[None]))
+        pts = self._level_points(p, 20_000, rng)
+        assert np.array_equal(p.solid_level(pts), self._both_balls(p, pts))
+
+    @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
+    def test_concatenation_equals_per_set_calls(self, dim, spec):
+        # a ray's radii depend only on the ray, so one solve over several ray
+        # sets gives each set's own solve, bit for bit
+        p = self._profile(dim, spec)
+        u = self._rays(p)
+        u = u[np.random.default_rng(0).permutation(len(u))]
+        sets = np.split(u, [1, 7, len(u) // 2])
+        unions, profiles = p._radii_sets(sets)
+        assert np.array_equal(p.union_rho(u), np.concatenate(unions))
+        for rays, union, profile in zip(sets, unions, profiles):
+            assert np.array_equal(p.union_rho(rays), union)
+            one_union, one_profile = p._radii(rays)
+            assert np.array_equal(one_union, union)
+            assert np.array_equal(one_profile, profile)
+            assert np.array_equal(p(rays), profile)
 
     @pytest.mark.parametrize("dim,spec", _SMOOTH_PROFILE_NORMS)
     def test_ball_term_matches_radial_perimeter(self, dim, spec):
