@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .norms import (
-    ConvexityCertificate,
     DualNorm,
     EllipseNorm,
     EuclideanNorm,
@@ -29,7 +28,6 @@ from .norms import (
     Norm,
     SmoothedMaxNorm,
     WeightedLpNorm,
-    convexity_certificate,
     parse_norm,
     unit_sphere_samples,
 )
@@ -40,39 +38,30 @@ from .wulff import (
     icosphere,
     monte_carlo_volume,
     polygon_svg,
-    wulff_perimeter,
-    wulff_volume,
 )
 from .mesh import (
     CurvatureField,
     TriSurface,
     VectorField,
     aniso_area,
-    aniso_normal,
-    constant_field,
     curvature,
     enclosed_volume,
     first_variation,
-    good_set_mask,
     identity_field,
     lambda_of,
     lp_deviation,
 )
 from .grid import (
-    Difference,
     DistanceField,
     Translate,
     Union,
     VoxelSet,
     chamfer_factor,
     components,
-    cut_locus_mask,
     dilate,
-    distance_from_set,
     distance_transform,
     erode,
     rasterize,
-    reach_along,
     reach_along_batch,
     stencil_offsets,
 )

@@ -253,6 +253,10 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config} is not UTF-8 text (byte {exc.start})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -164,25 +164,16 @@ def _load_grid(path, magic, what, tail_fmt, payload_bytes):
 
 # ---------------------------------------------------------------------------
 # set expressions for rasterization
-
-
-def _all_have_level(shapes):
-    return all(hasattr(s, "level_at") for s in shapes)
+#
+# A solid is anything with level_at(pts), <= 0 exactly on the solid, and
+# bounds() -> (lo, hi).
 
 
 class Union:
     def __init__(self, *shapes):
         self.shapes = shapes
-        if _all_have_level(shapes):
-            self.level_at = self._level_at
 
-    def contains_points(self, pts):
-        out = self.shapes[0].contains_points(pts)
-        for s in self.shapes[1:]:
-            out = out | s.contains_points(pts)
-        return out
-
-    def _level_at(self, pts):
+    def level_at(self, pts):
         return np.min([s.level_at(pts) for s in self.shapes], axis=0)
 
     def bounds(self):
@@ -190,34 +181,12 @@ class Union:
         return (np.min([b[0] for b in bs], axis=0), np.max([b[1] for b in bs], axis=0))
 
 
-class Difference:
-    def __init__(self, keep, remove):
-        self.keep = keep
-        self.remove = remove
-        if _all_have_level((keep, remove)):
-            self.level_at = self._level_at
-
-    def contains_points(self, pts):
-        return self.keep.contains_points(pts) & ~self.remove.contains_points(pts)
-
-    def _level_at(self, pts):
-        return np.maximum(self.keep.level_at(pts), -self.remove.level_at(pts))
-
-    def bounds(self):
-        return self.keep.bounds()
-
-
 class Translate:
     def __init__(self, shape, offset):
         self.shape = shape
         self.offset = np.asarray(offset, dtype=float)
-        if hasattr(shape, "level_at"):
-            self.level_at = self._level_at
 
-    def contains_points(self, pts):
-        return self.shape.contains_points(np.asarray(pts, float) - self.offset)
-
-    def _level_at(self, pts):
+    def level_at(self, pts):
         return self.shape.level_at(np.asarray(pts, float) - self.offset)
 
     def bounds(self):
@@ -226,12 +195,13 @@ class Translate:
 
 
 def rasterize(shape, spacing, margin=2, origin=None, dims=None):
-    """Classify voxel centers by membership.
+    """Sample a solid's level at the voxel centers; occupancy is level <= 0.
 
-    ``shape`` is anything with contains_points/bounds (WulffShape, Polytope,
-    TriSurface, Union, Difference, Translate).  The grid box is the shape's
-    bounding box padded by ``margin`` voxels; pass origin/dims to rasterize
-    onto an explicit grid instead (several shapes on one grid stay comparable).
+    ``shape`` must have level_at and bounds (WulffShape, Union, Translate and
+    the generated solids of `aniso.shapes`); meshes are not accepted.  The
+    grid box is the shape's bounding box padded by ``margin`` voxels; pass
+    origin/dims to rasterize onto an explicit grid instead (several shapes on
+    one grid stay comparable).
     """
     _check_spacing(spacing)
     if origin is None or dims is None:
@@ -240,9 +210,7 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
         hi = np.asarray(hi, float) + margin * spacing
         dims = tuple(int(np.ceil((hi[k] - lo[k]) / spacing)) for k in range(len(lo)))
         origin = lo
-    occ = np.zeros(dims, dtype=bool)
-    has_level = hasattr(shape, "level_at")
-    lvl = np.zeros(dims) if has_level else None
+    lvl = np.zeros(dims)
     d = len(dims)
     # chunk over leading-axis slabs, a few million voxels at a time
     tail = np.stack(np.meshgrid(*[np.arange(n) for n in dims[1:]], indexing="ij"),
@@ -257,13 +225,9 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
         rep_tail = np.tile(tail, (i1 - i0, 1))
         for k in range(1, d):
             pts[:, k] = origin[k] + (rep_tail[:, k - 1] + 0.5) * spacing
-        if has_level:
-            li = np.asarray(shape.level_at(pts), dtype=float)
-            occ[i0:i1] = (li <= 0.0).reshape((i1 - i0,) + dims[1:])
-            lvl[i0:i1] = li.reshape((i1 - i0,) + dims[1:])
-        else:
-            occ[i0:i1] = shape.contains_points(pts).reshape((i1 - i0,) + dims[1:])
-    out = VoxelSet(np.asarray(origin, float), float(spacing), occ, level=lvl)
+        lvl[i0:i1] = np.asarray(shape.level_at(pts), dtype=float).reshape(
+            (i1 - i0,) + dims[1:])
+    out = VoxelSet(np.asarray(origin, float), float(spacing), lvl <= 0.0, level=lvl)
     out.check_margin(1)
     return out
 
@@ -513,11 +477,6 @@ def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
     return out
 
 
-def distance_from_set(s: VoxelSet, dual: Norm, k=3) -> DistanceField:
-    """Distance measured from the occupied voxels outward (dilation field)."""
-    return _seeded_distance(s, s.occupancy, -1.0, dual, k)
-
-
 # ---------------------------------------------------------------------------
 # chamfer factor
 
@@ -540,20 +499,19 @@ def chamfer_factor(dual: Norm, dim, k):
 # reach along rays
 
 
-def reach_along(df: DistanceField, a, eta, tol_factor=0.25):
-    """Largest s with |delta(a + s*eta) - s| <= spacing, by scan plus bisection.
+# bisection stops once every bracket is at most this many voxels wide
+_REACH_TOL = 0.25
 
-    ``eta`` must satisfy phi_polar(eta) = 1 (a unit Wulff-boundary direction);
-    ``a`` should lie within one voxel of the occupied set's boundary.  Raises
-    ConvergenceError when 32 bisections leave a bracket above tol_factor * h.
+
+def reach_along_batch(df: DistanceField, a, eta):
+    """Per ray, the largest s with |delta(a + s*eta) - s| <= spacing, by scan
+    plus bisection.
+
+    Each row of ``eta`` must satisfy phi_polar(eta) = 1 (a unit Wulff-boundary
+    direction); each row of ``a`` should lie within one voxel of the occupied
+    set's boundary.  Raises ConvergenceError when 32 bisections leave a
+    bracket wider than _REACH_TOL voxels.
     """
-    out = reach_along_batch(df, np.atleast_2d(np.asarray(a, float)),
-                            np.atleast_2d(np.asarray(eta, float)),
-                            tol_factor=tol_factor)
-    return float(out[0])
-
-
-def reach_along_batch(df: DistanceField, a, eta, tol_factor=0.25):
     a = np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
     h = df.spacing
@@ -584,7 +542,7 @@ def reach_along_batch(df: DistanceField, a, eta, tol_factor=0.25):
         s_lo[alive] = sv
     s_hi = np.where(np.isnan(s_hi), s_max, s_hi)
     # bisection refinement between last good and first bad sample
-    tol = tol_factor * h
+    tol = _REACH_TOL * h
     for _ in range(32):
         if np.max(s_hi - s_lo) <= tol:
             break
@@ -598,32 +556,3 @@ def reach_along_batch(df: DistanceField, a, eta, tol_factor=0.25):
         raise ConvergenceError(f"reach bisection ended {gap:.3g} above tol {tol:.3g}",
                                best=s_lo, gap=gap)
     return s_lo
-
-
-def cut_locus_mask(df: DistanceField, rel_tol=1e-9):
-    """Voxels whose optimal stencil predecessors point in opposed directions.
-
-    A discrete stand-in for the cut locus: interior voxels reached optimally
-    from two directions more than 90 degrees apart.
-    """
-    offs = stencil_offsets(df.voxels.dim, df.stencil_order)
-    w = df.dual.eval(offs * df.spacing)
-    vals = df.values
-    scale = rel_tol * max(1.0, float(np.nanmax(vals[np.isfinite(vals)])))
-    cnt = np.zeros_like(vals)
-    sums = np.zeros(vals.shape + (df.voxels.dim,))
-    d = vals.ndim
-    for o, wo in zip(offs, w):
-        tgt, src = [], []
-        for j in range(d):
-            oj, nj = int(o[j]), vals.shape[j]
-            tgt.append(slice(max(oj, 0), nj + min(oj, 0)))
-            src.append(slice(max(-oj, 0), nj + min(-oj, 0)))
-        tgt, src = tuple(tgt), tuple(src)
-        opt = np.abs(vals[tgt] - (vals[src] + wo)) <= scale + 1e-12 * wo
-        cnt[tgt] += opt
-        u = -o / np.linalg.norm(o)
-        sums[tgt] += opt[..., None] * u
-    with np.errstate(invalid="ignore", divide="ignore"):
-        spread = np.where(cnt > 0, np.linalg.norm(sums, axis=-1) / np.maximum(cnt, 1), 1.0)
-    return df.voxels.occupancy & (cnt >= 2) & (spread < np.cos(np.pi / 4))

@@ -2,9 +2,8 @@
 
 Carries the discrete versions of the surface quantities used everywhere else:
 anisotropic area  integral of phi(normal), enclosed volume (divergence
-theorem), the anisotropic normal field grad(phi) o nu, per-vertex anisotropic
-principal/mean curvatures, L^p curvature deviations, and the discrete first
-variation of the anisotropic area.
+theorem), per-vertex anisotropic principal/mean curvatures, L^p curvature
+deviations, and the discrete first variation of the anisotropic area.
 
 Surfaces are immutable once built; the lazy geometry caches only ever store
 recomputable values, so concurrent shared reads are safe, and curvature
@@ -137,51 +136,6 @@ class TriSurface:
         if enclosed_volume(self, _validate=False) <= 0.0:
             raise InvalidMeshError("non-positive signed volume: orientation is not outward")
 
-    # -- transforms ---------------------------------------------------------
-
-    def translated(self, t):
-        return TriSurface(self.vertices + np.asarray(t, float), self.faces,
-                          normals=self.normals, validate=False)
-
-    def scaled(self, t):
-        if t <= 0:
-            raise InvalidArgumentError("scale factor must be positive")
-        return TriSurface(self.vertices * float(t), self.faces,
-                          normals=self.normals, validate=False)
-
-    # -- adjacency -----------------------------------------------------------
-
-    def vertex_neighbors(self):
-        """List of 1-ring neighbor index arrays."""
-        if "nbrs" not in self._cache:
-            nv = len(self.vertices)
-            nbr = [set() for _ in range(nv)]
-            f = self.faces
-            if self.dim == 3:
-                for a, b, c in f:
-                    nbr[a].update((b, c)); nbr[b].update((a, c)); nbr[c].update((a, b))
-            else:
-                for a, b in f:
-                    nbr[a].add(b); nbr[b].add(a)
-            self._cache["nbrs"] = [np.fromiter(sorted(s), dtype=np.int64) for s in nbr]
-        return self._cache["nbrs"]
-
-    def bounds(self):
-        pad = 1e-9 * max(1.0, np.ptp(self.vertices))
-        return self.vertices.min(axis=0) - pad, self.vertices.max(axis=0) + pad
-
-    # -- membership (parity ray cast) ----------------------------------------
-
-    def contains_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        # tiny deterministic shear to dodge edge/vertex ties in the ray cast
-        jitter = 1e-9 * max(1.0, np.ptp(self.vertices))
-        q = pts + jitter * (1.0 + np.arange(self.dim))
-        inside = _parity_ray_cast(self.vertices, self.faces, q)
-        return bool(inside[0]) if single else inside
-
     # -- text round trip -------------------------------------------------------
 
     def save_text(self, path):
@@ -236,50 +190,6 @@ def _face_measures(vertices, faces):
     return lens, normals
 
 
-def _parity_ray_cast(vertices, faces, pts):
-    d = vertices.shape[1]
-    n = len(pts)
-    crossings = np.zeros(n, dtype=np.int64)
-    if d == 2:
-        a = vertices[faces[:, 0]]
-        b = vertices[faces[:, 1]]
-        for (ax, ay), (bx, by) in zip(a, b):
-            lo, hi = (ay, by) if ay < by else (by, ay)
-            cand = (pts[:, 1] > lo) & (pts[:, 1] <= hi)
-            if not np.any(cand):
-                continue
-            t = (pts[cand, 1] - ay) / (by - ay)
-            xhit = ax + t * (bx - ax)
-            crossings[cand] += (xhit > pts[cand, 0]).astype(np.int64)
-        return crossings % 2 == 1
-    tri = vertices[faces]
-    ymin = tri[:, :, 1].min(axis=1); ymax = tri[:, :, 1].max(axis=1)
-    zmin = tri[:, :, 2].min(axis=1); zmax = tri[:, :, 2].max(axis=1)
-    for k in range(len(faces)):
-        cand = ((pts[:, 1] >= ymin[k]) & (pts[:, 1] <= ymax[k])
-                & (pts[:, 2] >= zmin[k]) & (pts[:, 2] <= zmax[k]))
-        if not np.any(cand):
-            continue
-        p = pts[cand]
-        v0, v1, v2 = tri[k]
-        # barycentric test in the (y, z) projection
-        d1 = v1[1:] - v0[1:]
-        d2 = v2[1:] - v0[1:]
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(det) < 1e-300:
-            continue
-        rel = p[:, 1:] - v0[1:]
-        u = (rel[:, 0] * d2[1] - rel[:, 1] * d2[0]) / det
-        v = (-rel[:, 0] * d1[1] + rel[:, 1] * d1[0]) / det
-        hit = (u >= 0) & (v >= 0) & (u + v <= 1)
-        if not np.any(hit):
-            continue
-        x0 = v0[0] + u[hit] * (v1[0] - v0[0]) + v[hit] * (v2[0] - v0[0])
-        idx = np.flatnonzero(cand)[hit]
-        crossings[idx] += (x0 > pts[idx, 0]).astype(np.int64)
-    return crossings % 2 == 1
-
-
 # ---------------------------------------------------------------------------
 # surface integrals
 
@@ -299,11 +209,6 @@ def enclosed_volume(s: TriSurface, _validate=True):
     if _validate and vol <= 0.0:
         raise InvalidMeshError("negative enclosed volume: inward orientation")
     return float(vol)
-
-
-def aniso_normal(s: TriSurface, norm: Norm):
-    """Per-vertex anisotropic normal grad(phi)(nu); values lie on the unit Wulff boundary."""
-    return norm.grad(s.normals)
 
 
 def lambda_of(s: TriSurface, norm: Norm):
@@ -515,10 +420,11 @@ def _curvature_2d(s: TriSurface, norm: Norm):
 def _fill_flagged(kap, mean, flagged, s):
     if not np.any(flagged) or np.all(flagged):
         return
-    nbrs = s.vertex_neighbors()
+    indptr, indices = _ring_lists(s, 1)
     for i in np.flatnonzero(flagged):
-        good = [j for j in nbrs[i] if not flagged[j]]
-        if good:
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        good = nbrs[~flagged[nbrs]]
+        if good.size:
             kap[i] = kap[good].mean(axis=0)
             mean[i] = mean[good].mean()
         else:
@@ -534,11 +440,6 @@ def lp_deviation(f: CurvatureField, s: TriSurface, lam, p=None):
         raise InvalidArgumentError("p must be >= 1")
     va = s.vertex_areas
     return float(np.sum(va * np.abs(f.mean - lam) ** p) ** (1.0 / p))
-
-
-def good_set_mask(f: CurvatureField, lam):
-    """Vertices where |H - lam| <= lam/2 (the almost-CMC region)."""
-    return np.abs(f.mean - lam) <= 0.5 * lam
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +460,6 @@ class VectorField:
 def identity_field():
     return VectorField(value=lambda x: np.asarray(x, float),
                        jacobian=lambda x: np.broadcast_to(np.eye(x.shape[-1]), x.shape + (x.shape[-1],)))
-
-
-def constant_field(c):
-    c = np.asarray(c, dtype=float)
-    return VectorField(value=lambda x: np.broadcast_to(c, x.shape),
-                       jacobian=lambda x: np.zeros(x.shape + (x.shape[-1],)))
 
 
 def first_variation(s: TriSurface, norm: Norm, g: VectorField):

@@ -29,7 +29,6 @@ l1, linf           crystalline norms (no Hessian, gradient off the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -758,16 +757,7 @@ class DualNorm(Norm):
 
 
 # ---------------------------------------------------------------------------
-# uniform convexity diagnostics
-
-
-@dataclass(frozen=True)
-class ConvexityCertificate:
-    """Sampled lower bound on the tangential Hessian eigenvalues over the sphere."""
-
-    gamma: float
-    sample_count: int
-    min_location: np.ndarray
+# sphere samples and tangential Hessians
 
 
 def unit_sphere_samples(dim, count):
@@ -797,17 +787,6 @@ def tangent_basis(u):
     t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
     t2 = np.cross(u, t1)
     return np.stack([t1, t2], axis=-1)
-
-
-def convexity_certificate(norm: Norm, samples=1000) -> ConvexityCertificate:
-    """Minimum tangential Hessian eigenvalue of phi over a sphere sample."""
-    if not norm.smooth:
-        raise UnsupportedOperationError(f"{norm.family} norm is not C^2")
-    if samples < 100:
-        raise InvalidArgumentError("need at least 100 sphere samples")
-    u, eig = tangential_hessian_eigs(norm, samples)
-    k = int(np.argmin(eig[:, 0]))
-    return ConvexityCertificate(gamma=float(eig[k, 0]), sample_count=samples, min_location=u[k])
 
 
 def tangential_hessian_eigs(norm: Norm, samples):

@@ -1,7 +1,7 @@
 """Deterministic generators of test geometries and norm sequences.
 
 Every generator produces both a closed mesh (for surface quantities) and a
-solid membership object (for voxelization), built from the same analytic
+solid level function (for voxelization), built from the same analytic
 radial data so the two representations agree to rounding:
 
 * exact Wulff shapes;
@@ -58,7 +58,7 @@ class ShapeSpec:
 class GeneratedShape:
     spec: ShapeSpec
     mesh: TriSurface
-    solid: object                 # contains_points / bounds / level_at
+    solid: object                 # level_at / bounds, as rasterize reads them
     meta: dict = field(default_factory=dict)
 
 
@@ -132,9 +132,6 @@ class PerturbedWulffSolid:
             uhat = uhat / np.linalg.norm(uhat, axis=-1, keepdims=True)
             y[far] = self.value(uhat)
         return pol - self.r * (1.0 + self.eps * y)
-
-    def contains_points(self, pts):
-        return self.level_at(pts) <= 0.0
 
     def bounds(self):
         lo, hi = WulffShape(self.norm, self.r * (1 + self.eps)).bounds()
@@ -418,16 +415,13 @@ def _gen_perturbed(spec, resolution):
 
 
 class TwoBubbleSolid:
-    """Membership/level adapter over the two-bubble radial profile."""
+    """Level adapter over the two-bubble radial profile."""
 
     def __init__(self, profile):
         self.profile = profile
 
     def level_at(self, pts):
         return self.profile.solid_level(pts)
-
-    def contains_points(self, pts):
-        return self.level_at(pts) <= 0.0
 
     def bounds(self):
         p = self.profile

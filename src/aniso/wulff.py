@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .mesh import TriSurface, aniso_area, enclosed_volume
+from .mesh import TriSurface
 from .norms import Norm, unit_sphere_samples
 
 
@@ -103,13 +103,6 @@ class WulffShape:
     def is_crystalline(self):
         return self.norm.family in ("l1", "linf")
 
-    def contains(self, x):
-        out = self.contains_points(x)
-        return bool(out) if np.ndim(out) == 0 else out
-
-    def contains_points(self, pts):
-        return self.dual.eval(np.asarray(pts, dtype=float)) <= self.r
-
     def level_at(self, pts):
         """Signed boundary offset phi_polar(x) - r: negative inside, and equal
         to the dual-norm distance to the boundary (exactly, by homogeneity)."""
@@ -163,14 +156,6 @@ class Polytope:
     @property
     def dim(self):
         return self.vertices.shape[1]
-
-    def contains_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.all(pts @ self.halfspace_normals.T <= self.halfspace_offsets + 1e-12, axis=-1)
-
-    def bounds(self):
-        pad = 1e-9 * max(1.0, float(np.max(np.abs(self.vertices))))
-        return self.vertices.min(axis=0) - pad, self.vertices.max(axis=0) + pad
 
     def volume(self):
         # fan decomposition from the origin (interior by construction)
@@ -265,33 +250,19 @@ def _order_facet(pts, normal, ids):
 
 
 # ---------------------------------------------------------------------------
-# volume and perimeter
-
-
-def wulff_volume(w: WulffShape, resolution=None):
-    """|W_r| by mesh divergence, or exact polytope arithmetic when crystalline."""
-    if w.is_crystalline:
-        return w.polytope().volume()
-    return enclosed_volume(w.boundary_mesh(resolution=resolution))
+# Monte Carlo volume
 
 
 def monte_carlo_volume(shape, samples=2_000_000, seed=0):
-    """Membership-sampling volume estimate: (value, standard error)."""
+    """Volume of {level_at <= 0} sampled over its bounds: (value, standard error)."""
     lo, hi = shape.bounds()
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(samples, len(lo)))
-    hits = shape.contains_points(pts)
+    hits = shape.level_at(pts) <= 0.0
     frac = np.mean(hits)
     box = float(np.prod(hi - lo))
     stderr = box * np.sqrt(max(frac * (1 - frac), 0.0) / samples)
     return box * float(frac), float(stderr)
-
-
-def wulff_perimeter(w: WulffShape, resolution=None):
-    """Anisotropic perimeter of the Wulff shape (exact for polytopes)."""
-    if w.is_crystalline:
-        return w.polytope().aniso_perimeter(w.norm)
-    return aniso_area(w.boundary_mesh(resolution=resolution), w.norm)
 
 
 # ---------------------------------------------------------------------------

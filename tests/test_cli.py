@@ -108,6 +108,14 @@ class TestRun:
         cfg_path.write_text("experimnt=erosion\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_non_utf8_config_exits_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"\xff\xfe=1\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and "not UTF-8" in err[0]
+
     @pytest.mark.parametrize("line", [
         "spacing=nan", "spacing=-1", "spacing=inf", "radii=0.3,nan", "radii=0,0.6",
         "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",

@@ -8,14 +8,12 @@ from aniso import (
     InvalidMeshError,
     SmoothedMaxNorm,
     TriSurface,
+    VectorField,
     WulffShape,
     aniso_area,
-    aniso_normal,
-    constant_field,
     curvature,
     enclosed_volume,
     first_variation,
-    good_set_mask,
     identity_field,
     lambda_of,
     lp_deviation,
@@ -44,12 +42,6 @@ class TestArea:
         c = np.sqrt(np.min(np.linalg.eigvalsh(ellipse3.Q)))
         assert aniso_area(sphere, ellipse3) >= c * aniso_area(sphere, EuclideanNorm(3))
 
-    def test_wulff_boundary_equals_perimeter_definition(self, ellipse3):
-        from aniso import wulff_perimeter
-        w = WulffShape(ellipse3, 1.0)
-        m = w.boundary_mesh(resolution=3)
-        assert aniso_area(m, ellipse3) == pytest.approx(
-            wulff_perimeter(w, resolution=3), rel=1e-12)
 
 
 class TestVolume:
@@ -57,12 +49,12 @@ class TestVolume:
         assert enclosed_volume(sphere) == pytest.approx(4 * np.pi / 3, rel=5e-3)
 
     def test_translation_invariance(self, sphere):
-        moved = sphere.translated([3.0, -2.0, 1.0])
+        moved = TriSurface(sphere.vertices + [3.0, -2.0, 1.0], sphere.faces)
         assert enclosed_volume(moved) == pytest.approx(enclosed_volume(sphere), rel=1e-10)
 
     def test_scaling(self, sphere):
-        assert enclosed_volume(sphere.scaled(2.0)) == pytest.approx(
-            8 * enclosed_volume(sphere), rel=1e-10)
+        scaled = TriSurface(2.0 * sphere.vertices, sphere.faces)
+        assert enclosed_volume(scaled) == pytest.approx(8 * enclosed_volume(sphere), rel=1e-10)
 
     def test_inward_orientation_rejected(self, sphere):
         with pytest.raises(InvalidMeshError):
@@ -70,16 +62,18 @@ class TestVolume:
 
 
 class TestAnisoNormal:
+    """The anisotropic normal grad(phi)(nu) of a mesh's vertex normals."""
+
     def test_euclidean_identity(self, sphere):
-        assert np.allclose(aniso_normal(sphere, EuclideanNorm(3)), sphere.normals)
+        assert np.allclose(EuclideanNorm(3).grad(sphere.normals), sphere.normals)
 
     def test_wulff_mesh_normal_is_position_over_r(self, ellipse3):
         m = WulffShape(ellipse3, 2.0).boundary_mesh(resolution=3)
-        nphi = aniso_normal(m, ellipse3)
+        nphi = ellipse3.grad(m.normals)
         assert np.allclose(nphi, m.vertices / 2.0, atol=1e-10)
 
     def test_values_on_unit_wulff_boundary(self, sphere, ellipse3):
-        nphi = aniso_normal(sphere, ellipse3)
+        nphi = ellipse3.grad(sphere.normals)
         assert np.max(np.abs(ellipse3.dual().eval(nphi) - 1.0)) < 1e-8
 
 
@@ -144,9 +138,17 @@ class TestCurvature:
         assert len(head) == len(sphere.vertices) + 1
 
 
+def _one_rings(s):
+    """Sorted 1-ring of each vertex, from Python sets (independent of _ring_lists)."""
+    nbr = [set() for _ in range(len(s.vertices))]
+    for a, b, c in s.faces:
+        nbr[a].update((b, c)); nbr[b].update((a, c)); nbr[c].update((a, b))
+    return [np.fromiter(sorted(n), dtype=np.int64) for n in nbr]
+
+
 def _reference_curvature(s, norm, method, ring=2):
     """The per-vertex loop that the stacked kernel replaced, kept as its oracle."""
-    one = s.vertex_neighbors()
+    one = _one_rings(s)
     rings = one
     if ring == 2:
         rings = []
@@ -216,7 +218,7 @@ def _collapsed_ring_mesh(norm):
     # (or normal fit) is singular, its neighbours' fits stay solvable
     m = WulffShape(norm, 1.5).boundary_mesh(resolution=3)
     v = m.vertices.copy()
-    one = m.vertex_neighbors()
+    one = _one_rings(m)
     v[np.concatenate([one[j] for j in one[0]])] = v[0]
     return TriSurface(v, m.faces, normals=m.normals, validate=False)
 
@@ -285,11 +287,6 @@ class TestLpDeviation:
             devs.append(lp_deviation(f, g.mesh, 2.0 / 1.5, p=2))
         assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.3)
 
-    def test_good_set_mask(self, sphere):
-        f = curvature(sphere, EuclideanNorm(3))
-        assert np.all(good_set_mask(f, 2.0))
-        assert not np.any(good_set_mask(f, 20.0))
-
 
 class TestFirstVariation:
     def test_identity_field_gives_n_perimeter(self, sphere, ellipse3):
@@ -302,7 +299,10 @@ class TestFirstVariation:
         assert fv == pytest.approx(8 * np.pi, rel=0.01)
 
     def test_constant_field_vanishes(self, sphere, ellipse3):
-        fv = first_variation(sphere, ellipse3, constant_field([1.0, -2.0, 0.5]))
+        c = np.array([1.0, -2.0, 0.5])
+        shift = VectorField(value=lambda x: np.broadcast_to(c, x.shape),
+                            jacobian=lambda x: np.zeros(x.shape + (x.shape[-1],)))
+        fv = first_variation(sphere, ellipse3, shift)
         assert abs(fv) < 1e-8 * aniso_area(sphere, EuclideanNorm(3))
 
     def test_wulff_first_variation(self, ellipse3):
@@ -311,7 +311,6 @@ class TestFirstVariation:
         assert fv == pytest.approx(2 * aniso_area(m, ellipse3), rel=0.01)
 
     def test_missing_jacobian_rejected(self, sphere):
-        from aniso import VectorField
         with pytest.raises(InvalidArgumentError):
             first_variation(sphere, EuclideanNorm(3),
                             VectorField(value=lambda x: x))
@@ -335,16 +334,3 @@ class TestWatertight:
     def test_open_mesh_rejected(self, sphere):
         with pytest.raises(InvalidMeshError):
             TriSurface(sphere.vertices, sphere.faces[:-1])
-
-    def test_contains_points_parity(self, sphere, rng):
-        pts = rng.uniform(-1.2, 1.2, size=(400, 3))
-        inside = sphere.contains_points(pts)
-        truth = np.linalg.norm(pts, axis=-1) <= 1.0
-        # disagreements only in the chordal skin near the boundary
-        mism = inside != truth
-        assert np.all(np.abs(np.linalg.norm(pts[mism], axis=-1) - 1.0) < 0.02)
-
-    def test_2d_contains(self):
-        m = WulffShape(EuclideanNorm(2), 1.0).boundary_mesh(resolution=512)
-        assert m.contains_points([0.2, 0.3])
-        assert not m.contains_points([1.2, 0.3])

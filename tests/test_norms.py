@@ -16,11 +16,11 @@ from aniso import (
     SmoothedMaxNorm,
     UnsupportedOperationError,
     WeightedLpNorm,
-    convexity_certificate,
     parse_norm,
     unit_sphere_samples,
 )
-from aniso.norms import _BLOCK, _asinh_of_exp, _newton, _SmoothedMaxPolar
+from aniso.norms import (_BLOCK, _asinh_of_exp, _newton, _SmoothedMaxPolar,
+                         tangential_hessian_eigs)
 
 ALL_SPECS_2D = ["euclidean", "ellipse:1,4", "lp:3", "smoothmax:0.1", "l1", "linf"]
 ALL_SPECS_3D = ["euclidean", "ellipse:1,4,2", "lp:3", "smoothmax:0.1", "l1", "linf"]
@@ -301,30 +301,29 @@ class TestSmoothmaxNewton:
         assert info.value.best.shape == (1,)
 
 
-class TestConvexityCertificate:
+class TestTangentialHessianEigs:
+    """Smallest tangential Hessian eigenvalue: the uniform-convexity constant."""
+
+    @staticmethod
+    def _gamma(norm, samples):
+        return float(np.min(tangential_hessian_eigs(norm, samples)[1]))
+
     def test_euclidean_gamma_is_one(self):
-        cert = convexity_certificate(EuclideanNorm(3), 1000)
-        assert cert.gamma == pytest.approx(1.0, abs=1e-9)
+        assert self._gamma(EuclideanNorm(3), 1000) == pytest.approx(1.0, abs=1e-9)
 
     def test_ellipse_positive_gamma_matches_dense_sweep(self):
         norm = EllipseNorm(np.diag([1.0, 4.0]))
-        cert = convexity_certificate(norm, 1000)
-        dense = convexity_certificate(norm, 65536)
-        assert cert.gamma > 0
-        assert cert.gamma == pytest.approx(dense.gamma, rel=1e-4)
+        gamma = self._gamma(norm, 1000)
+        assert gamma > 0
+        assert gamma == pytest.approx(self._gamma(norm, 65536), rel=1e-4)
 
     def test_smoothmax_gamma_decreases_toward_zero(self):
-        gammas = [convexity_certificate(SmoothedMaxNorm(3, eps), 2000).gamma
-                  for eps in (0.2, 0.1, 0.05)]
+        gammas = [self._gamma(SmoothedMaxNorm(3, eps), 2000) for eps in (0.2, 0.1, 0.05)]
         assert gammas[0] > gammas[1] > gammas[2] > 0
 
     def test_crystalline_unsupported(self):
         with pytest.raises(UnsupportedOperationError):
-            convexity_certificate(L1Norm(2), 1000)
-
-    def test_sample_count_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            convexity_certificate(EuclideanNorm(2), 10)
+            tangential_hessian_eigs(L1Norm(2), 1000)
 
 
 class TestGrammar:

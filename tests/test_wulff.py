@@ -14,9 +14,8 @@ from aniso import (
     crystalline_polytope,
     enclosed_volume,
     monte_carlo_volume,
+    parse_norm,
     polygon_svg,
-    wulff_perimeter,
-    wulff_volume,
 )
 
 
@@ -29,20 +28,20 @@ def test_radius_must_be_finite_and_positive(r):
 class TestContains:
     def test_euclidean_boundary_point(self):
         w = WulffShape(EuclideanNorm(2), 1.0)
-        assert w.contains([0.6, 0.8])
-        assert not w.contains([0.61, 0.8])
+        assert w.level_at([0.6, 0.8]) <= 0
+        assert not w.level_at([0.61, 0.8]) <= 0
 
     def test_linf_norm_gives_cross_polytope(self):
         # the dual of linf is l1, so membership is an l1-ball test
         w = WulffShape(LinfNorm(3), 1.0)
-        assert not w.contains([0.5, 0.5, 0.5])
-        assert w.contains([0.3, 0.3, 0.3])
+        assert not w.level_at([0.5, 0.5, 0.5]) <= 0
+        assert w.level_at([0.3, 0.3, 0.3]) <= 0
 
     def test_ellipse_agrees_with_dual_values(self, rng):
         norm = EllipseNorm(np.diag([1.0, 4.0]))
         w = WulffShape(norm, 2.0)
         pts = rng.normal(scale=2.0, size=(500, 2))
-        assert np.array_equal(w.contains_points(pts), norm.dual().eval(pts) <= 2.0)
+        assert np.array_equal(w.level_at(pts) <= 0, norm.dual().eval(pts) <= 2.0)
 
     def test_minkowski_additivity_of_membership(self, rng):
         # triangle inequality for the dual norm: W_a + W_b = W_{a+b}
@@ -53,7 +52,43 @@ class TestContains:
         pts_a = a * pts_a / dual.eval(pts_a)[:, None]
         pts_b = rng.normal(size=(200, 2))
         pts_b = b * pts_b / dual.eval(pts_b)[:, None]
-        assert np.all(WulffShape(norm, a + b).contains_points(pts_a + pts_b))
+        assert np.all(WulffShape(norm, a + b).level_at(pts_a + pts_b) <= 0)
+
+
+_MC_SPECS = {2: ["euclidean", "ellipse:1,4", "smoothmax:0.1", "l1", "linf"],
+             3: ["euclidean", "ellipse:1,4,2", "smoothmax:0.1", "l1", "linf"]}
+
+
+class TestLevelPredicate:
+    """level_at(p) <= 0, i.e. fl(phi_polar(p) - r) <= 0, is phi_polar(p) <= r."""
+
+    class _DualThreshold:
+        """The Wulff shape with the dual-value membership test as its level."""
+
+        def __init__(self, w):
+            self.w = w
+
+        def level_at(self, pts):
+            return np.where(self.w.dual.eval(pts) <= self.w.r, -1.0, 1.0)
+
+        def bounds(self):
+            return self.w.bounds()
+
+    @pytest.mark.parametrize("dim, spec", [(d, s) for d in (2, 3) for s in _MC_SPECS[d]])
+    def test_monte_carlo_estimate_unchanged(self, dim, spec):
+        w = WulffShape(parse_norm(spec, dim), 1.3)
+        want = monte_carlo_volume(self._DualThreshold(w), samples=20_000, seed=3)
+        assert monte_carlo_volume(w, samples=20_000, seed=3) == want
+
+    @pytest.mark.parametrize("dim, spec", [(d, s) for d in (2, 3) for s in _MC_SPECS[d]])
+    def test_points_scaled_onto_boundary(self, dim, spec, rng):
+        w = WulffShape(parse_norm(spec, dim), 1.3)
+        x = rng.normal(size=(2000, dim))
+        on = w.r * x / w.dual.eval(x)[:, None]
+        pts = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 2 * on)])
+        inside = w.dual.eval(pts) <= w.r
+        assert inside.any() and not inside.all()
+        assert np.array_equal(w.level_at(pts) <= 0, inside)
 
 
 class TestBoundaryMesh:
@@ -98,7 +133,7 @@ class TestCrystallinePolytope:
     def test_linf_gives_cross_polytope_with_mc_oracle(self):
         poly = crystalline_polytope(LinfNorm(3), 1.0)
         assert poly.volume() == pytest.approx(4.0 / 3.0, abs=1e-12)
-        mc, se = monte_carlo_volume(poly, samples=2_000_000, seed=5)
+        mc, se = monte_carlo_volume(WulffShape(LinfNorm(3), 1.0), samples=2_000_000, seed=5)
         assert poly.volume() == pytest.approx(mc, rel=0.01)
 
     def test_l1_2d_square_perimeter(self):
@@ -125,28 +160,31 @@ class TestCrystallinePolytope:
 class TestVolumePerimeter:
     def test_unit_ball_volume(self):
         w = WulffShape(EuclideanNorm(3), 1.0)
-        assert wulff_volume(w, resolution=5) == pytest.approx(4 * np.pi / 3, rel=5e-3)
+        assert enclosed_volume(w.boundary_mesh(resolution=5)) == pytest.approx(
+            4 * np.pi / 3, rel=5e-3)
 
     def test_cube_volume_exact(self):
-        assert wulff_volume(WulffShape(L1Norm(3), 1.0)) == pytest.approx(8.0, abs=1e-12)
+        assert WulffShape(L1Norm(3), 1.0).polytope().volume() == pytest.approx(8.0, abs=1e-12)
 
     def test_ellipse_2d_area_with_mc_oracle(self):
         # W = { x^2 + y^2/4 <= 1 }: semi-axes 1 and 2, area 2 pi
         norm = EllipseNorm(np.diag([1.0, 4.0]))
         w = WulffShape(norm, 1.0)
-        vol = wulff_volume(w, resolution=4096)
+        vol = enclosed_volume(w.boundary_mesh(resolution=4096))
         mc, se = monte_carlo_volume(w, samples=2_000_000, seed=11)
         assert vol == pytest.approx(2 * np.pi, rel=5e-3)
         assert vol == pytest.approx(mc, rel=5e-3)
 
     def test_sphere_perimeter(self):
         w = WulffShape(EuclideanNorm(3), 1.0)
-        assert wulff_perimeter(w, resolution=5) == pytest.approx(4 * np.pi, rel=5e-3)
+        assert aniso_area(w.boundary_mesh(resolution=5), w.norm) == pytest.approx(
+            4 * np.pi, rel=5e-3)
 
     def test_cube_perimeter_identity_exact(self):
         w = WulffShape(L1Norm(3), 1.0)
-        assert wulff_perimeter(w) == pytest.approx(24.0, abs=1e-12)
-        assert wulff_perimeter(w) == pytest.approx(3 * wulff_volume(w), abs=1e-12)
+        poly = w.polytope()
+        assert poly.aniso_perimeter(w.norm) == pytest.approx(24.0, abs=1e-12)
+        assert poly.aniso_perimeter(w.norm) == pytest.approx(3 * poly.volume(), abs=1e-12)
 
     def test_smoothmax_perimeter_extrapolates_to_crystalline_limit(self):
         # oracle: refine eps and extrapolate; the linf limit is the
@@ -163,10 +201,9 @@ class TestVolumePerimeter:
 
     def test_scaling_laws(self):
         norm = EllipseNorm(np.diag([1.0, 4.0]))
-        v1 = wulff_volume(WulffShape(norm, 1.0), resolution=1024)
-        v2 = wulff_volume(WulffShape(norm, 2.0), resolution=1024)
-        p1 = wulff_perimeter(WulffShape(norm, 1.0), resolution=1024)
-        p2 = wulff_perimeter(WulffShape(norm, 2.0), resolution=1024)
+        m1, m2 = (WulffShape(norm, r).boundary_mesh(resolution=1024) for r in (1.0, 2.0))
+        v1, v2 = enclosed_volume(m1), enclosed_volume(m2)
+        p1, p2 = aniso_area(m1, norm), aniso_area(m2, norm)
         assert v2 == pytest.approx(4 * v1, rel=1e-10)
         assert p2 == pytest.approx(2 * p1, rel=1e-10)
 
