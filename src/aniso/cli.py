@@ -43,7 +43,7 @@ from .verify import (
     plot_sequence,
     run_bubbling,
 )
-from .wulff import WulffShape, polygon_svg
+from .wulff import WulffShape, check_resolution, polygon_svg
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -110,7 +110,7 @@ _PARSERS = {
                      "must be s:r pairs"),
     "outdir": str,
     "seed": int,
-    "resolution": _at_least_one,
+    "resolution": int,
     "stencil_order": _parser(int, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),
     "tol": _positive,
     "hsteps": _split(_at_least_one),
@@ -144,10 +144,11 @@ def parse_config(text) -> RunConfig:
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     cfg = RunConfig(**values)
-    # specs that parse only under dim (and the shape also under norm)
+    # values that are checked only under dim (and the shape also under norm)
     for key, check in (("norm", cfg.norm_obj),
                        ("sequence", lambda: norm_sequence(cfg.sequence, 1, cfg.dim)),
-                       ("shape", cfg.shape_spec)):
+                       ("shape", cfg.shape_spec),
+                       ("resolution", lambda: check_resolution(cfg.dim, cfg.resolution))):
         if key in lines:
             _checked(lines[key], key, check)
     return cfg
@@ -269,10 +270,11 @@ def _cmd_wulff(args):
     try:
         if args.svg and args.dim != 2:
             raise InvalidArgumentError("SVG export is for 2D boundaries")
-        if args.resolution is not None and args.resolution < (3 if args.dim == 2 else 0):
-            raise InvalidArgumentError(
-                f"--resolution must be at least 3 points in 2D and a level >= 0 in 3D, "
-                f"got {args.resolution} in {args.dim}D")
+        if args.resolution is not None:
+            try:
+                check_resolution(args.dim, args.resolution)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"--resolution: {exc}") from None
         norm = parse_norm(args.norm, args.dim)
         w = WulffShape(norm, args.r)
         if w.is_crystalline:

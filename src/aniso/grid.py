@@ -41,7 +41,10 @@ class VoxelSet:
     ``level``, when present, samples a signed boundary-offset function of the
     source shape (negative inside, approximately the dual-norm distance to
     the boundary near it).  The distance transform uses it to seed the
-    boundary band at sub-voxel accuracy; binary operations ignore it.
+    boundary band at sub-voxel accuracy; binary operations ignore it.  It is
+    exact within the seeding band (_BAND voxels) and may be -inf or +inf
+    beyond it, where seeding clips it to the band either way: `rasterize`
+    stores +-inf in blocks of _STRIDE^d voxels that lie wholly beyond it.
     """
 
     origin: np.ndarray
@@ -166,7 +169,14 @@ def _load_grid(path, magic, what, tail_fmt, payload_bytes):
 # set expressions for rasterization
 #
 # A solid is anything with level_at(pts), <= 0 exactly on the solid, and
-# bounds() -> (lo, hi).
+# bounds() -> (lo, hi).  It may also have lipschitz(pts, radius): per point, a
+# bound on |level(x) - level(y)| / |x - y| over the Euclidean ball of that
+# radius about it (inf where there is none).  A solid without it has no bound.
+
+
+def _lipschitz(shape, pts, radius):
+    bound = getattr(shape, "lipschitz", None)
+    return np.full(len(pts), np.inf) if bound is None else bound(pts, radius)
 
 
 class Union:
@@ -175,6 +185,10 @@ class Union:
 
     def level_at(self, pts):
         return np.min([s.level_at(pts) for s in self.shapes], axis=0)
+
+    def lipschitz(self, pts, radius):
+        # a minimum of functions is as Lipschitz as the steepest of them
+        return np.max([_lipschitz(s, pts, radius) for s in self.shapes], axis=0)
 
     def bounds(self):
         bs = [s.bounds() for s in self.shapes]
@@ -189,19 +203,37 @@ class Translate:
     def level_at(self, pts):
         return self.shape.level_at(np.asarray(pts, float) - self.offset)
 
+    def lipschitz(self, pts, radius):
+        return _lipschitz(self.shape, np.asarray(pts, float) - self.offset, radius)
+
     def bounds(self):
         lo, hi = self.shape.bounds()
         return lo + self.offset, hi + self.offset
 
 
+# rasterize classifies blocks of _STRIDE^d voxels by the level at their centers
+_STRIDE = 4
+# voxels per level_at call on the blocks near the boundary
+_CHUNK = 16384
+
+
 def rasterize(shape, spacing, margin=2, origin=None, dims=None):
-    """Sample a solid's level at the voxel centers; occupancy is level <= 0.
+    """Sample a solid's level at the voxel centers near its boundary;
+    occupancy is level <= 0.
 
     ``shape`` must have level_at and bounds (WulffShape, Union, Translate and
     the generated solids of `aniso.shapes`); meshes are not accepted.  The
     grid box is the shape's bounding box padded by ``margin`` voxels; pass
     origin/dims to rasterize onto an explicit grid instead (several shapes on
     one grid stay comparable).
+
+    The level is first evaluated at the center of each block of _STRIDE^d
+    voxels.  With the solid's Lipschitz bound L there, a block whose center
+    has |level| > L * (block half-diagonal) + _BAND voxels lies wholly beyond
+    the seeding band on one side: it takes its occupancy from that sign and
+    stores level -inf or +inf.  Every other block is evaluated voxel by voxel,
+    so occupancy and every distance-transform seed are those of a full
+    evaluation, bit for bit.
     """
     _check_spacing(spacing)
     if origin is None or dims is None:
@@ -210,24 +242,30 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
         hi = np.asarray(hi, float) + margin * spacing
         dims = tuple(int(np.ceil((hi[k] - lo[k]) / spacing)) for k in range(len(lo)))
         origin = lo
-    lvl = np.zeros(dims)
+    origin = np.asarray(origin, float)
     d = len(dims)
-    # chunk over leading-axis slabs, a few million voxels at a time
-    tail = np.stack(np.meshgrid(*[np.arange(n) for n in dims[1:]], indexing="ij"),
-                    axis=-1).reshape(-1, d - 1) if d > 1 else np.zeros((1, 0), int)
-    slab = len(tail)
-    step = max(int(4_000_000 // max(slab, 1)), 1)
-    for i0 in range(0, dims[0], step):
-        i1 = min(i0 + step, dims[0])
-        idx0 = np.repeat(np.arange(i0, i1), slab)
-        pts = np.empty((len(idx0), d))
-        pts[:, 0] = origin[0] + (idx0 + 0.5) * spacing
-        rep_tail = np.tile(tail, (i1 - i0, 1))
-        for k in range(1, d):
-            pts[:, k] = origin[k] + (rep_tail[:, k - 1] + 0.5) * spacing
-        lvl[i0:i1] = np.asarray(shape.level_at(pts), dtype=float).reshape(
-            (i1 - i0,) + dims[1:])
-    out = VoxelSet(np.asarray(origin, float), float(spacing), lvl <= 0.0, level=lvl)
+    nblocks = [-(-n // _STRIDE) for n in dims]
+    blocks = np.indices(nblocks).reshape(d, -1).T
+    # voxel centers lie within this distance of their block's center (1e-9 covers rounding)
+    half = 0.5 * (_STRIDE - 1) * spacing * math.sqrt(d) * (1 + 1e-9)
+    centers = origin + (_STRIDE * blocks + 0.5 * _STRIDE) * spacing
+    bound = _lipschitz(shape, centers, half)
+    far = np.zeros(len(blocks), dtype=bool)
+    fill = np.full(len(blocks), np.nan)
+    if np.any(np.isfinite(bound)):
+        at = np.asarray(shape.level_at(centers), dtype=float)
+        far = np.abs(at) > bound * half + _BAND * spacing
+        fill[far] = np.copysign(np.inf, at[far])
+    lvl = fill.reshape(nblocks)[np.ix_(*[np.arange(n) // _STRIDE for n in dims])]
+    near = blocks[~far]
+    local = np.indices((_STRIDE,) * d).reshape(d, -1).T
+    step = _CHUNK // len(local)
+    for i in range(0, len(near), step):
+        idx = (_STRIDE * near[i:i + step, None] + local).reshape(-1, d)
+        idx = idx[np.all(idx < dims, axis=1)]
+        lvl[tuple(idx.T)] = np.asarray(shape.level_at(origin + (idx + 0.5) * spacing),
+                                       dtype=float)
+    out = VoxelSet(origin, float(spacing), lvl <= 0.0, level=lvl)
     out.check_margin(1)
     return out
 

@@ -681,22 +681,25 @@ class DualNorm(Norm):
             cons = base._eval(vv) - 1.0
             return np.sqrt(np.sum(res**2, axis=-1) + cons**2)
 
-        fnorm = kkt_norm(v, mu)
-        for _ in range(40):
-            g = base._grad(v)
+        def newton_step(rows, vv, mm):
+            # (dv, dmu) solving the bordered stationarity system at restarts rows
+            g = base._grad(vv)
             try:
-                h = base._hess(v)
+                h = base._hess(vv)
             except SingularPointError:
-                h = _central_hess(base, v)
-            res = uu - mu[:, None] * g
-            cons = base._eval(v) - 1.0
-            big = np.zeros((n * r, d + 1, d + 1))
-            big[:, :d, :d] = mu[:, None, None] * h
+                h = _central_hess(base, vv)
+            big = np.zeros((len(vv), d + 1, d + 1))
+            big[:, :d, :d] = mm[:, None, None] * h
             big[:, :d, d] = g
             big[:, d, :d] = g
-            rhs = np.concatenate([res, -cons[:, None]], axis=-1)
+            rhs = np.concatenate([uu[rows] - mm[:, None] * g, 1.0 - base._eval(vv)[:, None]],
+                                 axis=-1)
+            return np.linalg.solve(big, rhs[..., None])[..., 0], rhs
+
+        fnorm = kkt_norm(v, mu)
+        for _ in range(40):
             try:
-                delta = np.linalg.solve(big, rhs[..., None])[..., 0]
+                delta, _ = newton_step(slice(None), v, mu)
             except np.linalg.LinAlgError:
                 break
             step = np.ones(n * r)
@@ -718,13 +721,46 @@ class DualNorm(Norm):
         v /= base._eval(v)[:, None]
         val = np.sum(uu * v, axis=-1)
         resid_all = np.linalg.norm(uu - val[:, None] * base._grad(v), axis=-1)
+        tol = 1e3 * _SOLVER_TOL
+        stationary = resid_all <= tol * (1.0 + np.abs(val))
+        # Near a crystalline limit grad(phi) turns over a width far below one
+        # ulp of v, so no float v has a small residual there.  The restarts of
+        # a point with no stationary restart take Newton steps accepted on the
+        # value u.v, and are stationary once the squared Newton decrement,
+        # dv . residual, is small against the value.
+        stuck = ~stationary.reshape(n, r).any(axis=1)
+        stiff = np.flatnonzero(np.repeat(stuck, r))
+        if stiff.size:
+            vk, uk, valk = v[stiff], uu[stiff], val[stiff]
+            dec = np.full(stiff.size, np.inf)
+            for _ in range(60):
+                try:
+                    delta, rhs = newton_step(stiff, vk, valk)
+                except np.linalg.LinAlgError:
+                    break
+                dv = delta[:, :d]
+                dec = np.abs(np.sum(dv * rhs[:, :d], axis=-1))
+                moved = np.zeros(stiff.size, dtype=bool)
+                step = np.ones(stiff.size)
+                for _bt in range(40):
+                    tv = vk + step[:, None] * dv
+                    tv /= base._eval(tv)[:, None]
+                    tval = np.sum(uk * tv, axis=-1)
+                    good = ~moved & (tval > valk)
+                    vk[good] = tv[good]
+                    valk[good] = tval[good]
+                    moved |= good
+                    step = np.where(moved, step, 0.5 * step)
+                if not moved.any():
+                    break
+            v[stiff], val[stiff] = vk, valk
+            stationary[stiff] = dec <= tol * (1.0 + np.abs(valk))
         vals = val.reshape(n, r)
         vs = v.reshape(n, r, d)
         resid = resid_all.reshape(n, r)
+        stationary = stationary.reshape(n, r)
         # select the best value among stationary restarts; a non-stationary
         # restart beating every stationary one means a genuine failure
-        tol = 1e3 * _SOLVER_TOL
-        stationary = resid <= tol * (1.0 + np.abs(vals))
         if not stationary.any(axis=1).all():
             worst = np.flatnonzero(~stationary.any(axis=1))
             raise ConvergenceError(

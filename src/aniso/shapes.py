@@ -360,18 +360,40 @@ class _TwoBubbleProfile:
         if np.any(far):
             lvl[far] = np.minimum(near[far], self.dual.eval(pts[far] + c[far]))
         lvl -= self.r
-        if getattr(self, "_band_rho_bound", None) is None:
-            self.validate()
-        rr = np.linalg.norm(pts, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ca = np.where(rr > 0, pts[..., self.axis] / np.where(rr == 0, 1, rr), 1.0)
-        theta = np.arccos(np.clip(ca, -1.0, 1.0))
-        cand = (np.abs(theta - np.pi / 2) < self.beta) & (rr < self._band_rho_bound) & (rr > 0)
+        cand, rr = self._pocket(pts)
         if np.any(cand):
             u = pts[cand] / rr[cand][..., None]
             neck = (rr[cand] - self(u)) * self.dual.eval(u)
             lvl[cand] = np.minimum(lvl[cand], neck)
         return lvl
+
+    def _pocket(self, pts):
+        # the pocket's points, where the blend may undercut the balls, and |x|
+        rr, theta = self._polar_coords(pts)
+        return (np.abs(theta - np.pi / 2) < self.beta) & (rr < self._pocket_rho()) & (rr > 0), rr
+
+    def near_pocket(self, pts, radius):
+        """Whether the ball of that radius about each point may meet the
+        pocket: a point of the ball has |x| above |pts| - radius, and unless
+        the ball holds the origin, a polar angle within arcsin(radius / |pts|)
+        of the center's."""
+        rr, theta = self._polar_coords(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.arcsin(np.minimum(radius / rr, 1.0))
+        return (rr < self._pocket_rho() + radius) & (
+            (rr <= radius) | (np.abs(theta - np.pi / 2) < self.beta + spread))
+
+    def _polar_coords(self, pts):
+        # |x| and the angle between x and the axis (0 at the origin)
+        rr = np.linalg.norm(pts, axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ca = np.where(rr > 0, pts[..., self.axis] / np.where(rr == 0, 1, rr), 1.0)
+        return rr, np.arccos(np.clip(ca, -1.0, 1.0))
+
+    def _pocket_rho(self):
+        if getattr(self, "_band_rho_bound", None) is None:
+            self.validate()
+        return self._band_rho_bound
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +444,12 @@ class TwoBubbleSolid:
 
     def level_at(self, pts):
         return self.profile.solid_level(pts)
+
+    def lipschitz(self, pts, radius):
+        # outside the neck pocket the level is the two balls' minimum
+        p = self.profile
+        return np.where(p.near_pocket(np.asarray(pts, float), radius), np.inf,
+                        WulffShape(p.norm, p.r).lipschitz(pts, radius))
 
     def bounds(self):
         p = self.profile

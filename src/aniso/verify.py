@@ -199,7 +199,7 @@ def _mesh_resolution(dim, resolution):
 
 
 def _coarser(resolution, dim):
-    return resolution - 1 if dim == 3 else max(resolution // 2, 16)
+    return max(resolution - 1, 0) if dim == 3 else max(resolution // 2, 16)
 
 
 def _surface_stats(spec: ShapeSpec, resolution):

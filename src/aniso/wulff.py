@@ -8,6 +8,7 @@ crystalline families (l1, linf) are handled by exact polytope arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,26 @@ def closed_loop_faces(count):
     return np.stack([idx, np.roll(idx, -1)], axis=-1)
 
 
+# mesh resolutions accepted per dimension: points on the circle in 2D, and an
+# icosphere subdivision level in 3D (level 8 has 655,362 vertices)
+_RESOLUTION_RANGE = {2: (3, 2**20, "points"), 3: (0, 8, "an icosphere level")}
+
+
+def check_resolution(dim, resolution):
+    """Raise InvalidArgumentError unless ``resolution`` is within the range of
+    its dimension: 3 to 2^20 points in 2D, level 0 to 8 in 3D."""
+    lo, hi, unit = _RESOLUTION_RANGE[dim]
+    if not lo <= resolution <= hi:
+        raise InvalidArgumentError(
+            f"mesh resolution must be {lo} to {hi} ({unit}) in {dim}D, got {resolution}")
+
+
 def _sphere_sample(dim, resolution=None):
     """Unit directions and faces of a closed sphere mesh: ``resolution``
     points on the circle in 2D (default 2,048), an icosphere of that
     subdivision level in 3D (default 5, 10,242 vertices)."""
+    if resolution is not None:
+        check_resolution(dim, resolution)
     if dim == 3:
         return icosphere(5 if resolution is None else int(resolution))
     count = 2048 if resolution is None else int(resolution)
@@ -107,6 +124,12 @@ class WulffShape:
         """Signed boundary offset phi_polar(x) - r: negative inside, and equal
         to the dual-norm distance to the boundary (exactly, by homogeneity)."""
         return self.dual.eval(np.asarray(pts, dtype=float)) - self.r
+
+    def lipschitz(self, pts, radius):
+        """A Lipschitz bound of level_at, the same at every point: sqrt(d) max_i
+        phi_polar(e_i) bounds phi_polar(v) / |v| by the triangle inequality."""
+        bound = math.sqrt(self.dim) * float(np.max(self.dual.eval(np.eye(self.dim))))
+        return np.full(len(pts), bound)
 
     def bounds(self):
         """Axis-aligned bounding box (lo, hi) of the shape."""

@@ -16,6 +16,16 @@ from aniso import (
 from aniso.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main, parse_config
 
 
+def _forbid_sphere_meshes(monkeypatch):
+    from aniso import wulff
+
+    def refuse(*args):
+        raise AssertionError("a sphere mesh was built for an out-of-range resolution")
+
+    monkeypatch.setattr(wulff, "icosphere", refuse)
+    monkeypatch.setattr(wulff, "circle_points", refuse)
+
+
 class TestParseConfig:
     def test_valid_example(self):
         cfg = parse_config("experiment=erosion\nnorm=euclidean\nshape=wulff r=1.5\nspacing=0.02")
@@ -127,6 +137,26 @@ class TestRun:
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert line.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim,resolution", [(2, 2), (2, 2**20 + 1), (3, -1), (3, 9),
+                                                (3, 12)])
+    def test_resolution_out_of_range_exits_config(self, tmp_path, dim, resolution, capsys,
+                                                  monkeypatch):
+        # the rule of `aniso wulff --resolution`, checked before any mesh is built
+        _forbid_sphere_meshes(monkeypatch)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"experiment=all\ndim={dim}\nresolution={resolution}\n"
+                            f"outdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: line 3: resolution: mesh resolution must be")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim,resolution", [(2, 3), (2, 2**20), (3, 0), (3, 8)])
+    def test_resolution_range_ends_accepted(self, dim, resolution):
+        cfg = parse_config(f"experiment=erosion\ndim={dim}\nresolution={resolution}\n")
+        assert cfg.resolution == resolution
 
     def test_bad_value_names_line_and_key(self):
         with pytest.raises(ConfigError) as info:
@@ -258,14 +288,18 @@ class TestWulffCommand:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("dim,resolution", [(2, 0), (2, 2), (2, -5), (3, -1)])
-    def test_bad_resolution_exits_config(self, tmp_path, dim, resolution, capsys):
+    @pytest.mark.parametrize("dim,resolution", [(2, 0), (2, 2), (2, -5), (3, -1),
+                                                (2, 2**20 + 1), (3, 9), (3, 12)])
+    def test_bad_resolution_exits_config(self, tmp_path, dim, resolution, capsys, monkeypatch):
+        # icosphere(12) would build 168M vertices: the check must come first
+        _forbid_sphere_meshes(monkeypatch)
         out = tmp_path / "w.txt"
         args = ["wulff", "--norm", "euclidean", "--dim", str(dim),
                 "--resolution", str(resolution), "--out", str(out)]
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: --resolution") and err.count("\n") == 1
+        assert f"got {resolution}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("dim,resolution,vertices", [(2, 3, 3), (3, 0, 12)])

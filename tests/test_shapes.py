@@ -573,3 +573,24 @@ class TestShapeGrammar:
     def test_missing_norm_rejected(self):
         with pytest.raises(InvalidArgumentError):
             parse_shape("wulff r=2", dim=2)
+
+
+class TestNearPocket:
+    """The widened pocket test that lets rasterize skip two-bubble blocks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.floats(0.05, 0.45), st.floats(0.01, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_flags_every_ball_meeting_the_pocket(self, dim, neck, radius, seed):
+        profile = _TwoBubbleProfile(EuclideanNorm(dim), 1.0, neck)
+        rng = np.random.default_rng(seed)
+        # centers in a box around the pocket, thin along the axis
+        reach = profile._pocket_rho() + radius
+        centers = rng.uniform(-reach, reach, size=(4000, dim))
+        centers[:, 0] *= np.sin(profile.beta) + radius / reach
+        off = rng.normal(size=(4000, dim))
+        off *= radius * rng.uniform(0.0, 1.0, (4000, 1)) / np.linalg.norm(off, axis=-1,
+                                                                            keepdims=True)
+        hit, _ = profile._pocket(centers + off)
+        assert hit.any()
+        assert np.all(profile.near_pocket(centers, radius)[hit])
