@@ -340,21 +340,28 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
             n = dist.shape[axis]
             stamps = changed[axis]
             perp_axes = [j for j in range(d) if j != axis]
+            # two candidate buffers and an update mask, shared by the sweep's slabs
+            shape = dist.shape[:axis] + dist.shape[axis + 1:]
+            cand, cand2 = np.empty(shape), np.empty(shape)
+            upd = np.empty(shape, dtype=bool)
             for i in range(n) if sign > 0 else range(n - 1, -1, -1):
-                cand = None
+                filled = False
                 for oa, footprint, structure in filters:
                     src = i - oa
                     if not (0 <= src < n and stamps[src] > visited[i]):
                         continue
-                    c = ndimage.grey_erosion(dist[(slice(None),) * axis + (src,)],
-                                             footprint=footprint, structure=structure,
-                                             mode="constant", cval=np.inf)
-                    cand = c if cand is None else np.minimum(cand, c, out=cand)
+                    ndimage.grey_erosion(dist[(slice(None),) * axis + (src,)],
+                                         footprint=footprint, structure=structure,
+                                         output=cand2 if filled else cand,
+                                         mode="constant", cval=np.inf)
+                    if filled:
+                        np.minimum(cand, cand2, out=cand)
+                    filled = True
                 visited[i] = clock
-                if cand is None:
+                if not filled:
                     continue
                 slab = dist[(slice(None),) * axis + (i,)]
-                upd = cand < slab
+                np.less(cand, slab, out=upd)
                 if not upd.any():
                     continue
                 np.minimum(cand, slab, out=slab)
@@ -379,7 +386,11 @@ _BAND = 3.0
 
 @dataclass
 class DistanceField:
-    """Per-voxel anisotropic distance, zero exactly on the seed set."""
+    """Per-voxel anisotropic distance, zero exactly on the seed set.
+
+    ``voxels`` carries the occupancy only (its ``level`` is None): seeding
+    consumes the rasterized level, so the field does not keep it alive.
+    """
 
     voxels: VoxelSet
     values: np.ndarray
@@ -439,15 +450,18 @@ def distance_transform(s: VoxelSet, dual: Norm, k=3) -> DistanceField:
     if s.occupancy.all():
         raise InvalidArgumentError("empty complement: distance would be infinite everywhere")
     s.check_margin(1)
-    return _seeded_distance(s, ~s.occupancy, 1.0, dual, k)
+    return _seeded_distance(s, 1.0, dual, k)
 
 
-def _seeded_distance(s: VoxelSet, seeds, sign, dual, k, cap=None):
-    """Stencil distance from the ``seeds`` voxels, clamped to zero on them.
+def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
+    """Stencil distance from the seed voxels, clamped to zero on them: the
+    complement for sign 1, the occupied set itself for sign -1.
 
     With a level function, seeds start at -clip(sign * level, 0, band), band =
-    _BAND voxels: sign 1 when the seeds are the complement (level > 0 there),
-    -1 when they are the occupied set itself.
+    _BAND voxels (the level is > 0 on the complement, <= 0 on the set).  They
+    are written into the field array in place, by the same elementwise
+    operations as a gather of the seed voxels, so no seed-sized temporary is
+    made; the field keeps only the occupancy, not the level.
 
     With a ``cap``, values above it are +inf and all others exact.  Every
     voxel at or below the cap has an optimal path whose values all stay at or
@@ -456,22 +470,29 @@ def _seeded_distance(s: VoxelSet, seeds, sign, dual, k, cap=None):
     box.  So only that box is relaxed, its non-seed voxels starting at the
     float just above the cap, where no candidate above the cap can land.
     """
+    occ = s.occupancy
+    seeds, rest = (~occ, occ) if sign > 0 else (occ, ~occ)
     offs = stencil_offsets(s.dim, k)
     w = dual.eval(offs * s.spacing)
-    dist = np.where(seeds, 0.0, np.inf)
-    if s.level is not None:
-        dist[seeds] = -np.clip(sign * s.level[seeds], 0.0, _BAND * s.spacing)
+    if s.level is None:
+        dist = np.where(seeds, 0.0, np.inf)
+    else:
+        dist = np.multiply(s.level, sign, dtype=float)
+        np.clip(dist, 0.0, _BAND * s.spacing, out=dist)
+        np.negative(dist, out=dist)
+        np.copyto(dist, np.inf, where=rest)
     if cap is None:
         _relax_to_fixpoint(dist, offs, w)
     else:
-        box = _reach_box(seeds, cap - dist[seeds].min(), offs, w)
+        # the non-seed voxels are +inf, so the field's minimum is the seeds'
+        box = _reach_box(seeds, cap - dist.min(), offs, w)
         sub = dist[box]
-        sub[~seeds[box]] = np.nextafter(cap, np.inf)
+        np.copyto(sub, np.nextafter(cap, np.inf), where=rest[box])
         _relax_to_fixpoint(sub, offs, w)
         sub[sub > cap] = np.inf
     np.maximum(dist, 0.0, out=dist)
-    dist[seeds] = 0.0
-    return DistanceField(s, dist, dual, k)
+    np.copyto(dist, 0.0, where=seeds)
+    return DistanceField(VoxelSet(s.origin, s.spacing, occ), dist, dual, k)
 
 
 def _reach_box(seeds, length, offs, w):
@@ -509,7 +530,7 @@ def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
         raise InvalidArgumentError("dilation radius must be nonnegative")
     if not s.occupancy.any():
         return VoxelSet(s.origin, s.spacing, s.occupancy.copy())
-    df = _seeded_distance(s, s.occupancy, -1.0, dual, k, cap=t + _BAND * s.spacing)
+    df = _seeded_distance(s, -1.0, dual, k, cap=t + _BAND * s.spacing)
     out = VoxelSet(s.origin, s.spacing, df.values <= t, level=df.values - t)
     out.check_margin(1)
     return out

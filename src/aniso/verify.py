@@ -199,7 +199,9 @@ def _mesh_resolution(dim, resolution):
 
 
 def _coarser(resolution, dim):
-    return max(resolution - 1, 0) if dim == 3 else max(resolution // 2, 16)
+    """The Richardson partner mesh: one subdivision level down in 3D, half the
+    points in 2D (at least the 3-point minimum), never finer than the mesh."""
+    return max(resolution - 1, 0) if dim == 3 else max(resolution // 2, 3)
 
 
 def _surface_stats(spec: ShapeSpec, resolution):

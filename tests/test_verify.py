@@ -13,10 +13,13 @@ from aniso import (
     check_erosion_laws,
     check_minkowski_law,
     check_wulff_identity,
+    enclosed_volume,
     fit_power_law,
+    gen,
     parse_norm,
     run_bubbling,
 )
+from aniso.verify import _surface_stats
 
 
 class TestPowerLawFit:
@@ -67,6 +70,18 @@ class TestWulffIdentity:
         assert all("law" in row for row in data["rows"])
         rep.save_csv(tmp_path / "rep.csv")
         assert (tmp_path / "rep.csv").read_text().startswith("name,law")
+
+
+class TestSurfaceStats:
+    @pytest.mark.parametrize("resolution", [8, 16])
+    def test_richardson_beats_the_plain_polygon(self, resolution):
+        # the coarse partner must be coarser than the mesh, or the
+        # extrapolation moves away from the limit
+        spec = ShapeSpec("wulff", EuclideanNorm(2), r=1.5)
+        exact = np.pi * 1.5**2
+        plain = enclosed_volume(gen(spec, resolution=resolution).mesh)
+        _, stats = _surface_stats(spec, resolution)
+        assert abs(stats["volume"] - exact) < abs(plain - exact)
 
 
 class TestErosion:
