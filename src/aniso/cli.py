@@ -183,12 +183,15 @@ def run(cfg: RunConfig):
     Returns the process exit status.  A driver that raises gets an error
     entry in place of its report, and the remaining experiments still run.
     report.json is byte-identical across runs with the same config and seed;
-    wall-clock timings go to the runtime.json sidecar.
+    wall-clock timings go to the runtime.json sidecar.  Raises ConfigError,
+    before any experiment runs, when the output directories cannot be made.
     """
     outdir = cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
-    os.makedirs(os.path.join(outdir, "tables"), exist_ok=True)
-    os.makedirs(os.path.join(outdir, "plots"), exist_ok=True)
+    try:
+        for sub in ("", "tables", "plots"):
+            os.makedirs(os.path.join(outdir, sub), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"outdir {outdir!r} is not usable: {exc.strerror}") from None
     experiments = list(_EXPERIMENTS[:-1]) if cfg.experiment == "all" else [cfg.experiment]
     reports = []
     status = EXIT_PASS
@@ -261,7 +264,11 @@ def _cmd_run(args):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    status = run(cfg)
+    try:
+        status = run(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"report written to {cfg.outdir}/report.json (exit {status})")
     return status
 

@@ -9,8 +9,12 @@ stencil-restricted shortest-path distance: deterministic, and an overestimate
 of the true metric distance by at most the stencil's chamfer factor.
 
 Rasterization and thresholding are pure per-voxel operations; each relaxation
-owns its field, and voxel sets are treated as immutable after construction,
-so independent fields may be computed concurrently.
+owns its field, and voxel sets are treated as immutable after construction.
+A set may drop its level array and rebuild it, bit for bit, but never changes
+it: a raster or an erosion hands a level array that no reader holds to the
+first seeding, which writes the field into it, and builds the level again
+when it is next read.  Fields of distinct sets may be computed concurrently;
+two threads seeding one set at once may both be handed its level.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .norms import Norm
 # voxel sets
 
 
-@dataclass
 class VoxelSet:
     """Binary occupancy grid over a box; True marks interior voxels.
 
@@ -45,21 +48,40 @@ class VoxelSet:
     exact within the seeding band (_BAND voxels) and may be -inf or +inf
     beyond it, where seeding clips it to the band either way: `rasterize`
     stores +-inf in blocks of _STRIDE^d voxels that lie wholly beyond it.
+
+    A ``level=`` array passed in is never written: seeding copies it.  The
+    sets of `rasterize` and `erode` can rebuild their level bit for bit, so
+    seeding takes their array, unless ``level`` has handed it to a reader,
+    and the next read of ``level`` rebuilds it.
     """
 
-    origin: np.ndarray
-    spacing: float
-    occupancy: np.ndarray
-    level: np.ndarray = None
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.occupancy = np.asarray(self.occupancy, dtype=bool)
+    def __init__(self, origin, spacing, occupancy, level=None):
+        self.origin = np.asarray(origin, dtype=float)
+        self.spacing = spacing
+        self.occupancy = np.asarray(occupancy, dtype=bool)
         if self.occupancy.ndim not in (2, 3):
             raise InvalidArgumentError("occupancy must be a 2D or 3D array")
-        _check_spacing(self.spacing)
-        if self.level is not None and self.level.shape != self.occupancy.shape:
+        _check_spacing(spacing)
+        if level is not None and level.shape != self.occupancy.shape:
             raise InvalidArgumentError("level array must match occupancy shape")
+        self._level = level
+        self._rebuild = None   # zero-argument callable returning the level anew
+        self._lent = False     # whether ``level`` has handed its array to a reader
+
+    @property
+    def level(self):
+        if self._level is None and self._rebuild is not None:
+            self._level = self._rebuild()
+        self._lent = True
+        return self._level
+
+    def _seed_level(self):
+        """(level, whether the caller may write it): a set that can rebuild its
+        level hands over an array that no reader holds, and drops it."""
+        if self._rebuild is None or self._lent:
+            return self.level, False
+        level, self._level = self._level, None
+        return (self._rebuild() if level is None else level), True
 
     @property
     def dim(self):
@@ -267,6 +289,7 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
                                        dtype=float)
     out = VoxelSet(origin, float(spacing), lvl <= 0.0, level=lvl)
     out.check_margin(1)
+    out._rebuild = lambda: rasterize(shape, spacing, origin=origin, dims=dims)._level
     return out
 
 
@@ -388,8 +411,8 @@ _BAND = 3.0
 class DistanceField:
     """Per-voxel anisotropic distance, zero exactly on the seed set.
 
-    ``voxels`` carries the occupancy only (its ``level`` is None): seeding
-    consumes the rasterized level, so the field does not keep it alive.
+    ``voxels`` carries the occupancy only (its ``level`` is None), so the
+    field does not keep the seeding level alive.
     """
 
     voxels: VoxelSet
@@ -459,9 +482,9 @@ def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
 
     With a level function, seeds start at -clip(sign * level, 0, band), band =
     _BAND voxels (the level is > 0 on the complement, <= 0 on the set).  They
-    are written into the field array in place, by the same elementwise
-    operations as a gather of the seed voxels, so no seed-sized temporary is
-    made; the field keeps only the occupancy, not the level.
+    are written in place, by the same elementwise operations as a gather of
+    the seed voxels, into a copy of the level or, when the set hands its level
+    over, into that array itself, which becomes the field.
 
     With a ``cap``, values above it are +inf and all others exact.  Every
     voxel at or below the cap has an optimal path whose values all stay at or
@@ -474,10 +497,11 @@ def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
     seeds, rest = (~occ, occ) if sign > 0 else (occ, ~occ)
     offs = stencil_offsets(s.dim, k)
     w = dual.eval(offs * s.spacing)
-    if s.level is None:
+    level, owned = s._seed_level()
+    if level is None:
         dist = np.where(seeds, 0.0, np.inf)
     else:
-        dist = np.multiply(s.level, sign, dtype=float)
+        dist = np.multiply(level, sign, out=level if owned else None, dtype=float)
         np.clip(dist, 0.0, _BAND * s.spacing, out=dist)
         np.negative(dist, out=dist)
         np.copyto(dist, np.inf, where=rest)
@@ -510,13 +534,16 @@ def _reach_box(seeds, length, offs, w):
 def erode(df: DistanceField, r) -> VoxelSet:
     """Super-level set { delta >= r } (the occupied set itself at r = 0).
 
-    The result carries r - delta as its level function, so later dilations
-    keep sub-voxel boundary accuracy.
+    The result's level function is r - delta, so later dilations keep
+    sub-voxel boundary accuracy.  It is built from the field only when read
+    or seeded, so a volume or component count never allocates it.
     """
     if r < 0:
         raise InvalidArgumentError("erosion depth must be nonnegative")
     occ = df.values >= r if r > 0 else df.values > 0
-    return VoxelSet(df.origin, df.spacing, occ, level=r - df.values)
+    out = VoxelSet(df.origin, df.spacing, occ)
+    out._rebuild = lambda: r - df.values
+    return out
 
 
 def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
@@ -525,13 +552,16 @@ def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
     The result carries delta - t as its level function where delta <= t +
     band (band = _BAND voxels) and +inf beyond, where a later seeding clips
     the level to the band either way; the distance is relaxed only that far.
+    The level is written in place into the distance array, so the result
+    holds one float array, which a later seeding copies.
     """
     if not t >= 0:
         raise InvalidArgumentError("dilation radius must be nonnegative")
     if not s.occupancy.any():
         return VoxelSet(s.origin, s.spacing, s.occupancy.copy())
     df = _seeded_distance(s, -1.0, dual, k, cap=t + _BAND * s.spacing)
-    out = VoxelSet(s.origin, s.spacing, df.values <= t, level=df.values - t)
+    occ = df.values <= t
+    out = VoxelSet(s.origin, s.spacing, occ, level=np.subtract(df.values, t, out=df.values))
     out.check_margin(1)
     return out
 

@@ -122,11 +122,12 @@ class TriSurface:
         f = self.faces
         if self.dim == 3:
             edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            key = edges[:, 0] * len(self.vertices) + edges[:, 1]
-            if len(np.unique(key)) != len(key):
+            key = np.sort(edges[:, 0] * len(self.vertices) + edges[:, 1])
+            if np.any(key[1:] == key[:-1]):
                 raise InvalidMeshError("duplicated directed edge: inconsistent orientation")
-            rkey = edges[:, 1] * len(self.vertices) + edges[:, 0]
-            if not np.all(np.isin(key, rkey)):
+            # distinct keys: every edge has its reverse exactly when both sets agree
+            rkey = np.sort(edges[:, 1] * len(self.vertices) + edges[:, 0])
+            if not np.array_equal(key, rkey):
                 raise InvalidMeshError("open mesh: boundary edge found")
         else:
             starts = np.bincount(f[:, 0], minlength=len(self.vertices))

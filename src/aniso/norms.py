@@ -272,6 +272,9 @@ class WeightedLpNorm(Norm):
             raise InvalidArgumentError(
                 f"lp family requires a finite p > 1, got {p!r} "
                 "(use l1/linf for the crystalline cases)")
+        if not p / (p - 1.0) > 1.0:
+            raise InvalidArgumentError(
+                f"lp exponent {p!r} is too large: its polar exponent p/(p - 1) rounds to 1")
         self.p = p
         w = np.ones(dim) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (dim,):

@@ -131,7 +131,8 @@ class TestRun:
         "pairs=0.2:-0.5", "pairs=0.3", "tol=0", "tol=nan", "resolution=0", "resolution=-3",
         "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0",
         "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
-        "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc"])
+        "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc",
+        "norm=lp:1e300"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
@@ -198,6 +199,16 @@ class TestRun:
         assert "pairs" in capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "0 < s < r < rbar" in report["reports"][0]["error"]
+
+    def test_outdir_under_a_file_exits_config(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        outdir = tmp_path / "file" / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=wulff-identity\ndim=2\noutdir={outdir}\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: outdir") and str(outdir) in err[0]
 
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
@@ -280,6 +291,7 @@ class TestWulffCommand:
         (2, "lp:abc", "lp exponent must be a number, got 'abc'"),
         (3, "lp:3:1,1,nan", "lp weights must be finite and positive, got nan"),
         (2, "lp:inf", "lp family requires a finite p > 1, got inf"),
+        (2, "lp:1e300", "lp exponent 1e+300 is too large"),
         (2, "ellipse:1,inf", "ellipse entries must be finite, got inf")])
     def test_bad_norm_entry_named(self, tmp_path, dim, spec, message, capsys):
         out = tmp_path / "w.txt"

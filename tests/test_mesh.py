@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso import (
     EllipseNorm,
@@ -21,6 +23,7 @@ from aniso import (
 )
 from aniso.mesh import _fill_flagged
 from aniso.norms import tangent_basis
+from aniso.wulff import icosphere
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +333,47 @@ class TestLambdaOf:
         assert lambda_of(g.mesh, ellipse3) == pytest.approx(2.0 / 1.5, rel=0.01)
 
 
+def _validate_by_unique_and_isin(mesh):
+    """The 3D rule that the sort-based `TriSurface.validate` replaced: the
+    error it raises, or None.  The oracle for the sorted-key comparison."""
+    f = mesh.faces
+    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    key = edges[:, 0] * len(mesh.vertices) + edges[:, 1]
+    if len(np.unique(key)) != len(key):
+        return "duplicated directed edge: inconsistent orientation"
+    rkey = edges[:, 1] * len(mesh.vertices) + edges[:, 0]
+    if not np.all(np.isin(key, rkey)):
+        return "open mesh: boundary edge found"
+    if enclosed_volume(mesh, _validate=False) <= 0.0:
+        return "non-positive signed volume: orientation is not outward"
+    return None
+
+
+@st.composite
+def _damaged_icospheres(draw):
+    """An icosphere of level 0 to 3, possibly turned inside out, with random
+    faces dropped, flipped or duplicated (any of them possibly none)."""
+    verts, faces = icosphere(draw(st.integers(0, 3)))
+    pick = st.lists(st.integers(0, len(faces) - 1), max_size=4, unique=True)
+    drop, flip, dup = draw(pick), draw(pick), draw(pick)
+    faces = faces[:, ::-1].copy() if draw(st.booleans()) else faces.copy()
+    faces[flip] = faces[flip][:, ::-1]
+    faces = np.concatenate([np.delete(faces, drop, axis=0), faces[dup]])
+    return TriSurface(verts, faces, normals=verts, validate=False)
+
+
 class TestWatertight:
     def test_open_mesh_rejected(self, sphere):
         with pytest.raises(InvalidMeshError):
             TriSurface(sphere.vertices, sphere.faces[:-1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_damaged_icospheres())
+    def test_sorted_keys_match_unique_and_isin(self, mesh):
+        want = _validate_by_unique_and_isin(mesh)
+        if want is None:
+            mesh.validate()
+        else:
+            with pytest.raises(InvalidMeshError) as info:
+                mesh.validate()
+            assert str(info.value) == want

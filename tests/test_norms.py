@@ -370,6 +370,8 @@ class TestGrammar:
         ("smoothmax:0.1x", "smoothmax eps must be a number, got '0.1x'"),
         ("lp:nan", "lp family requires a finite p > 1, got nan"),
         ("lp:inf", "lp family requires a finite p > 1, got inf"),
+        ("lp:1e17", "lp exponent 1e+17 is too large"),
+        ("lp:1e300", "lp exponent 1e+300 is too large"),
         ("lp:2:1,nan", "lp weights must be finite and positive, got nan"),
         ("lp:2:inf,1", "lp weights must be finite and positive, got inf"),
         ("lp:2:1,0", "lp weights must be finite and positive, got 0.0"),
