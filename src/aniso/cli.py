@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DepthRangeError,
     InvalidArgumentError,
+    VoxelBudgetError,
 )
 from .grid import VoxelSet, distance_transform
 from .norms import Norm, parse_norm
@@ -184,7 +185,8 @@ def run(cfg: RunConfig):
     entry in place of its report, and the remaining experiments still run.
     report.json is byte-identical across runs with the same config and seed;
     wall-clock timings go to the runtime.json sidecar.  Raises ConfigError,
-    before any experiment runs, when the output directories cannot be made.
+    before any experiment runs, when the output directories cannot be made or
+    report.json or runtime.json cannot be written there.
     """
     outdir = cfg.outdir
     try:
@@ -192,6 +194,8 @@ def run(cfg: RunConfig):
             os.makedirs(os.path.join(outdir, sub), exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"outdir {outdir!r} is not usable: {exc.strerror}") from None
+    for name in ("report.json", "runtime.json"):
+        _check_target(os.path.join(outdir, name))
     experiments = list(_EXPERIMENTS[:-1]) if cfg.experiment == "all" else [cfg.experiment]
     reports = []
     status = EXIT_PASS
@@ -206,9 +210,10 @@ def run(cfg: RunConfig):
                 traceback.print_exc()
                 error = f"{type(exc).__name__}: {exc}"
             reports.append({"experiment_id": experiment, "error": error, "passed": False})
-            # radii and pairs meet rbar only once the shape is built; the
-            # default ones never fall outside, so a DepthRangeError is the config's
-            if isinstance(exc, (ConfigError, DepthRangeError)):
+            # radii and pairs meet rbar, and the spacing the voxel budget, only
+            # once the shape is built; the defaults never fail these checks, so
+            # such an error is the config's
+            if isinstance(exc, (ConfigError, DepthRangeError, VoxelBudgetError)):
                 print(f"config error: {experiment}: {exc}", file=sys.stderr)
                 status = max(status, EXIT_CONFIG)
             else:
@@ -234,6 +239,16 @@ def run(cfg: RunConfig):
     atomic_write(os.path.join(outdir, "runtime.json"),
             json.dumps({"timings": timings, "written_at": time.time()}, indent=1))
     return status
+
+
+def _check_target(path):
+    """ConfigError unless `atomic_write` can write path: it writes path.tmp in
+    the same directory and renames it onto path."""
+    for target in (path, path + ".tmp"):
+        if os.path.isdir(target):
+            raise ConfigError(f"output {target!r} is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory of {path!r} is not writable")
 
 
 def _plots_for(rep, plotdir):
@@ -269,6 +284,10 @@ def _cmd_run(args):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        # the experiments catch their own errors: this is a table, plot or report write
+        print(f"error: could not write the outputs: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     print(f"report written to {cfg.outdir}/report.json (exit {status})")
     return status
 

@@ -49,6 +49,10 @@ class DepthRangeError(InvalidArgumentError):
     """Erosion radii or Minkowski pairs fall outside 0 < s < r < rbar."""
 
 
+class VoxelBudgetError(InvalidArgumentError):
+    """A raster would have more voxels than the budget allows."""
+
+
 class InsufficientDataError(AnisoError):
     """Not enough samples remain for a fit."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConvergenceError, InvalidArgumentError, MarginError
+from .errors import ConvergenceError, InvalidArgumentError, MarginError, VoxelBudgetError
 from .norms import Norm
 
 
@@ -237,6 +237,9 @@ class Translate:
 _STRIDE = 4
 # voxels per level_at call on the blocks near the boundary
 _CHUNK = 16384
+# most voxels one raster may have: about 12 times the largest grid that a test
+# or a default config builds (2.9M); its distance transform peaks near 360 MB
+_MAX_VOXELS = 2**25
 
 
 def rasterize(shape, spacing, margin=2, origin=None, dims=None):
@@ -256,6 +259,9 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
     stores level -inf or +inf.  Every other block is evaluated voxel by voxel,
     so occupancy and every distance-transform seed are those of a full
     evaluation, bit for bit.
+
+    A grid of more than _MAX_VOXELS voxels raises VoxelBudgetError before
+    anything is allocated.
     """
     _check_spacing(spacing)
     if origin is None or dims is None:
@@ -264,6 +270,11 @@ def rasterize(shape, spacing, margin=2, origin=None, dims=None):
         hi = np.asarray(hi, float) + margin * spacing
         dims = tuple(int(np.ceil((hi[k] - lo[k]) / spacing)) for k in range(len(lo)))
         origin = lo
+    count = math.prod(int(n) for n in dims)
+    if count > _MAX_VOXELS:
+        raise VoxelBudgetError(
+            f"a grid of {count:,} voxels at spacing {spacing!r} exceeds the budget "
+            f"of {_MAX_VOXELS:,}; use a coarser spacing")
     origin = np.asarray(origin, float)
     d = len(dims)
     nblocks = [-(-n // _STRIDE) for n in dims]

@@ -236,7 +236,14 @@ class EllipseNorm(Norm):
         self.Q_inv = np.linalg.inv(self.Q)
 
     def _eval(self, v):
-        return np.sqrt(np.einsum("...i,ij,...j->...", v, self.Q, v))
+        # v^T Q v as a sum of (v_i Q_ij) v_j in row-major order, which is what
+        # einsum gives for a large batch; einsum's order changes for batches
+        # of one or two 2D points, so a point's value depended on its batch
+        acc = np.zeros(v.shape[:-1])
+        for i in range(self.dim):
+            for j in range(self.dim):
+                acc += (v[..., i] * self.Q[i, j]) * v[..., j]
+        return np.sqrt(acc)
 
     def _grad(self, v):
         qv = v @ self.Q
@@ -282,6 +289,15 @@ class WeightedLpNorm(Norm):
         bad = w[~(np.isfinite(w) & (w > 0))]
         if bad.size:
             raise InvalidArgumentError(f"lp weights must be finite and positive, got {float(bad[0])!r}")
+        # the polar's weights w^(1 - q) must be floats too: for p near 1, q is huge
+        q = p / (p - 1.0)
+        with np.errstate(over="ignore"):
+            polar_w = w ** (1.0 - q)
+        if not np.all(np.isfinite(polar_w) & (polar_w > 0)):
+            raise InvalidArgumentError(
+                f"lp exponent {p!r} with weights {', '.join(repr(float(x)) for x in w)} has "
+                f"no representable polar: its weights w^(1 - q), q = p/(p - 1) = {q:.6g}, "
+                "underflow to 0 or overflow")
         self.weights = w
 
     def _eval(self, v):

@@ -179,9 +179,11 @@ class _TwoBubbleProfile:
 
     # largest t with phi_polar(t u - c) <= r (1 + 1e-13): a 46-step bisection
     # on [0, 2 radial_bound], guided by Newton roots so that only its steps
-    # near the exit evaluate phi_polar.  A ray whose final bracket ends are not
-    # both evaluated midpoints (or bracket ends) is bisected again unguided,
-    # so every radius is the plain bisection's, bit for bit.
+    # within a margin of the root evaluate phi_polar.  Newton starts at the
+    # root of the ball's quadratic model about the tangency point, so a ray
+    # that grazes that point costs few steps.  A ray whose final bracket
+    # ends are not both evaluated midpoints (or bracket ends) is bisected again
+    # unguided, so every radius is the plain bisection's, bit for bit.
     def _ball_exit(self, u, sign):
         c = sign * self.center_offset
         level = self.r * (1 + 1e-13)
@@ -198,13 +200,21 @@ class _TwoBubbleProfile:
 
         With x = grad phi_polar(y) at y = t u - c, phi_polar(y) = <y, x>, so one
         maximizer solve gives both f = <y, x> - level and f' = <x, u>.  f is
-        convex with f(0) < 0, so Newton from t_max falls monotonically to the
-        exit (Dinkelbach, "On nonlinear fractional programming", 1967).  A ray
-        stops once its step is at most a quarter of the bisection quantum q, or
-        not positive (only rounding puts an iterate left of the root).  Rays
-        that do not converge in 64 steps or meet a slope that is not positive,
-        and every ray of a dual without a gradient everywhere, keep margin inf:
-        their bisection is unguided.
+        convex with f(0) < 0, so Newton from any t with f(t) >= 0 falls
+        monotonically to the exit (Dinkelbach, "On nonlinear fractional
+        programming", 1967).  A ray starts at min(t_max, t_q), with t_q the
+        positive root of f's quadratic model about 0 (`_newton_start`).  From
+        a start left of the exit (f < 0) on a rising slope, the first step
+        lands right of the exit, f being convex, and is clipped to t_max; a
+        start on a slope that is not rising begins again from t_max.  A ray
+        stops once its step is at most a quarter of the bisection quantum q,
+        or not positive (only rounding puts an iterate left of the root).  Its
+        margin, max(1.25 q, 1e-14 r / slope), holds the bisection's final
+        bracket ends, within q of the exit, and the band in which rounding of
+        phi_polar (a few ulp of r) can flip the sign of f.  Rays that do not
+        converge in 64 steps or meet a slope that is not positive, and every
+        ray of a dual without a gradient everywhere, keep margin inf: their
+        bisection is unguided.
         """
         n = len(u)
         root = np.zeros(n)
@@ -212,9 +222,9 @@ class _TwoBubbleProfile:
         if not self.dual.smooth:
             return root, margin
         q = t_max * 2.0**-46
-        t = np.full(n, t_max)
+        t = self._newton_start(u, c, level, t_max)
         active = np.arange(n)
-        for _ in range(64):
+        for k in range(64):
             ua = u[active]
             y = t[active, None] * ua - c
             x = self.dual.grad(y)
@@ -224,34 +234,61 @@ class _TwoBubbleProfile:
             t[active] -= step
             rising = slope > 0
             done = rising & (step <= 0.25 * q)
+            keep = rising & ~done & np.isfinite(step)
+            if k == 0:
+                # a negative step on a rising slope starts left of the exit
+                left = ~rising | (step < 0)
+                t[active[left]] = np.where(rising[left], np.fmin(t[active[left]], t_max), t_max)
+                done &= ~left
+                keep |= left
             root[active[done]] = t[active[done]]
-            margin[active[done]] = np.maximum(4.0 * q, 1e-13 * self.r / slope[done])
-            active = active[rising & ~done & np.isfinite(step)]
+            margin[active[done]] = np.maximum(1.25 * q, 1e-14 * self.r / slope[done])
+            active = active[keep]
             if active.size == 0:
                 break
         return root, margin
+
+    def _newton_start(self, u, c, level, t_max):
+        """min(t_max, t_q), with t_q the positive root of f's quadratic model
+        f(0) + f'(0) t + f''(0) t^2 / 2, and t_max where it has none:
+        f(0) = phi_polar(-c) - level, f'(0) = <grad phi_polar(-c), u> and
+        f''(0) = u^T H u, with H the central differences of grad phi_polar at
+        -c (no polar Hessian: it needs a linear solve)."""
+        d = len(c)
+        h = 1e-5 * float(np.sqrt(np.dot(c, c)))
+        g = self.dual.grad(-c + h * np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)]))
+        f0 = float(np.dot(-c, g[0])) - level
+        hess = (g[1:d + 1] - g[d + 1:]) / (2 * h)
+        b = u @ g[0]
+        a = 0.5 * np.einsum("ni,ij,nj->n", u, hess, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = np.sqrt(b * b - 4 * a * f0)
+            # the form without cancellation on each side of b = 0
+            t_q = np.where(b > 0, -2 * f0 / (b + disc), (disc - b) / (2 * a))
+        return np.where(t_q > 0, np.fmin(t_max, t_q), t_max)
 
     def _bisect(self, u, c, level, t_max, root, margin):
         """The 46-step bisection; a step evaluates phi_polar only for rays whose
         midpoint lies within margin of root, the others take mid < root.
 
         Returns the radii and whether each ray's final lo and hi both came from
-        evaluated midpoints or the bracket ends.
+        evaluated midpoints or the bracket ends.  A midpoint is evaluated
+        exactly when it lies within margin of root, so both flags are read off
+        the final bracket: lo is seen if it is 0 or within margin of root, hi
+        if it is t_max or within margin of root.
         """
         lo = np.zeros(len(u))
         hi = np.full(len(u), t_max)
-        lo_seen = np.ones(len(u), dtype=bool)
-        hi_seen = lo_seen.copy()
         for _ in range(46):
             mid = 0.5 * (lo + hi)
             inside = mid < root
             ev = np.abs(mid - root) <= margin
             if np.any(ev):
                 inside[ev] = self.dual.eval(mid[ev, None] * u[ev] - c) <= level
-            lo_seen = np.where(inside, ev, lo_seen)
-            hi_seen = np.where(inside, hi_seen, ev)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
+            np.copyto(lo, mid, where=inside)
+            np.copyto(hi, mid, where=~inside)
+        lo_seen = (lo == 0.0) | (np.abs(lo - root) <= margin)
+        hi_seen = (hi == t_max) | (np.abs(hi - root) <= margin)
         return lo, lo_seen & hi_seen
 
     def union_rho(self, u):

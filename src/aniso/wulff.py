@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .mesh import TriSurface
-from .norms import Norm, unit_sphere_samples
+from .norms import EllipseNorm, EuclideanNorm, Norm, unit_sphere_samples
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,18 @@ class WulffShape:
         return self.dual.eval(np.asarray(pts, dtype=float)) - self.r
 
     def lipschitz(self, pts, radius):
-        """A Lipschitz bound of level_at, the same at every point: sqrt(d) max_i
-        phi_polar(e_i) bounds phi_polar(v) / |v| by the triangle inequality."""
-        bound = math.sqrt(self.dim) * float(np.max(self.dual.eval(np.eye(self.dim))))
+        """A Lipschitz bound of level_at, the same at every point: a bound of
+        phi_polar(v) / |v|.  Exact for Euclidean and ellipse polars: 1, and
+        the root of the polar matrix's largest eigenvalue (with 1e-12 for its
+        rounding); otherwise sqrt(d) max_i phi_polar(e_i), by the triangle
+        inequality."""
+        dual = self.dual
+        if isinstance(dual, EuclideanNorm):
+            bound = 1.0
+        elif isinstance(dual, EllipseNorm):
+            bound = math.sqrt(np.linalg.eigvalsh(dual.Q)[-1]) * (1 + 1e-12)
+        else:
+            bound = math.sqrt(self.dim) * float(np.max(dual.eval(np.eye(self.dim))))
         return np.full(len(pts), bound)
 
     def bounds(self):

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -132,7 +133,7 @@ class TestRun:
         "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0",
         "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
         "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc",
-        "norm=lp:1e300"])
+        "norm=lp:1e300", "norm=lp:1.0000000000000002:2,1"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
@@ -209,6 +210,45 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: outdir") and str(outdir) in err[0]
+
+    @pytest.mark.parametrize("name", ["report.json", "runtime.json", "report.json.tmp"])
+    def test_output_that_is_a_directory_exits_config(self, tmp_path, capsys, monkeypatch, name):
+        # refused before any experiment runs, in one line naming the path
+        def never(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr("aniso.cli.check_wulff_identity", never)
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=wulff-identity\ndim=2\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: output") and str(target) in err[0]
+
+    def test_late_write_failure_is_one_error_line(self, tmp_path, capsys):
+        # a table path that is a directory fails only once the experiment has run
+        (tmp_path / "out" / "tables" / "wulff-identity.csv").mkdir(parents=True)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=wulff-identity\ndim=2\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: could not write the outputs:")
+        assert "wulff-identity.csv" in err[0]
+
+    def test_grid_over_the_voxel_budget_exits_config(self, tmp_path, capsys):
+        # about 2.7e10 voxels: refused when the raster is asked for, not after
+        # allocating it
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=erosion\ndim=3\nspacing=0.001\noutdir={tmp_path}/out\n")
+        start = time.perf_counter()
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: erosion: a grid of")
+        assert "budget" in err[0]
 
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
@@ -292,6 +332,8 @@ class TestWulffCommand:
         (3, "lp:3:1,1,nan", "lp weights must be finite and positive, got nan"),
         (2, "lp:inf", "lp family requires a finite p > 1, got inf"),
         (2, "lp:1e300", "lp exponent 1e+300 is too large"),
+        (2, "lp:1.0000000000000002:2,1",
+         "lp exponent 1.0000000000000002 with weights 2.0, 1.0 has no representable polar"),
         (2, "ellipse:1,inf", "ellipse entries must be finite, got inf")])
     def test_bad_norm_entry_named(self, tmp_path, dim, spec, message, capsys):
         out = tmp_path / "w.txt"

@@ -28,6 +28,7 @@ from aniso import (
     stencil_offsets,
 )
 from aniso import grid
+from aniso.errors import VoxelBudgetError
 from aniso.grid import DistanceField, _relax_to_fixpoint
 from aniso.norms import L1Norm, LinfNorm, parse_norm
 from aniso.shapes import TwoBubbleSolid, _TwoBubbleProfile
@@ -60,6 +61,20 @@ class TestRasterize:
         # the l1 Wulff shape is the cube [-1, 1]^3, whose level is linf - 1
         vox = rasterize(WulffShape(L1Norm(3), 1.0), 0.02)
         assert vox.volume() == pytest.approx(8.0, rel=0.01)
+
+    def test_voxel_budget_checked_before_allocating(self):
+        # about 2.7e10 voxels: refused, naming count and budget, before any
+        # array is made
+        w = WulffShape(EuclideanNorm(3), 1.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(VoxelBudgetError, match="26,964,009,000 voxels .* budget of"):
+                rasterize(w, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert issubclass(VoxelBudgetError, InvalidArgumentError)
 
     def test_margin_enforced(self):
         w = WulffShape(EuclideanNorm(2), 1.0)

@@ -383,6 +383,16 @@ class TestGrammar:
             parse_norm(spec, 2)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("spec,weights", [("lp:1.0000000000000002:2,1", "2.0, 1.0"),
+                                              ("lp:1.0000000000000002:1,0.5", "1.0, 0.5")])
+    def test_unrepresentable_polar_weights_named(self, spec, weights):
+        # q = p/(p - 1) is about 4.5e15, so w^(1 - q) underflows to 0 for
+        # w = 2 and overflows for w = 0.5: refused at once, naming the input
+        with pytest.raises(InvalidArgumentError) as info:
+            parse_norm(spec, 2)
+        assert str(info.value).startswith(
+            f"lp exponent 1.0000000000000002 with weights {weights} has no representable polar")
+
 
 class TestSequenceComparability:
     def test_two_sided_bounds_uniform_in_h(self):
@@ -613,3 +623,20 @@ class TestSmoothmaxBatchIndependence:
             for op in (phi.eval, phi.grad):
                 small = [op(v[i:i + 1000]) for i in range(0, len(v), 1000)]
                 assert np.array_equal(op(v), np.concatenate(small))
+
+
+class TestEllipseBatchIndependence:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_point_value_is_the_large_batch_value(self, dim):
+        # einsum sums v^T Q v in another order for a batch of one or two 2D
+        # points; eval sums it in the order einsum uses for a large batch
+        rng = np.random.default_rng(dim)
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        norm = EllipseNorm(rot @ np.diag(rng.uniform(0.25, 4.0, dim)) @ rot.T)
+        v = rng.normal(size=(500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+        for phi in (norm, norm.dual()):
+            batch = phi.eval(v)
+            assert np.array_equal(batch, np.sqrt(np.einsum("...i,ij,...j->...", v, phi.Q, v)))
+            assert np.array_equal(batch, [phi.eval(p) for p in v])
+            assert np.array_equal(batch[:2], phi.eval(v[:2]))
+            assert np.array_equal(phi.eval(v.reshape(20, 25, dim)), batch.reshape(20, 25))

@@ -315,7 +315,9 @@ _PROFILE_NORMS = _SMOOTH_PROFILE_NORMS + [(2, "linf"), (3, "linf")]
 
 class _Rotated(Norm):
     """phi(R v) for a 2D norm phi and a rotation R by ``angle``; its polar is
-    phi_polar(R y), the same construction on the polar."""
+    phi_polar(R y), the same construction on the polar.  R is applied point
+    by point (a matmul's rounding can change with the batch), so a point's
+    value does not depend on the batch it is evaluated in."""
 
     family = "rotated"
 
@@ -323,14 +325,17 @@ class _Rotated(Norm):
         super().__init__(2)
         self.base = base
         self.angle = angle
-        self.rot = np.array([[np.cos(angle), -np.sin(angle)],
-                             [np.sin(angle), np.cos(angle)]])
+        self.cos, self.sin = np.cos(angle), np.sin(angle)
+
+    def _turn(self, v, sin):
+        x, y = v[..., 0], v[..., 1]
+        return np.stack([self.cos * x - sin * y, sin * x + self.cos * y], axis=-1)
 
     def _eval(self, v):
-        return self.base._eval(v @ self.rot.T)
+        return self.base._eval(self._turn(v, self.sin))
 
     def _grad(self, v):
-        return self.base._grad(v @ self.rot.T) @ self.rot
+        return self._turn(self.base._grad(self._turn(v, self.sin)), -self.sin)
 
     def _dual_partner(self):
         return _Rotated(self.base._dual_partner(), self.angle)
@@ -515,6 +520,62 @@ class TestBallExitProperty:
         u[8:16, p.axis] = rng.uniform(-1e-9, 1e-9, 8)
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         assert np.array_equal(p.union_rho(u), _union_ref(p, u))
+
+
+def _exit_norm(family, dim, x, rng):
+    # a random norm of the family; x in [0, 1] picks its parameter
+    if family == "smoothmax":
+        return SmoothedMaxNorm(dim, 2.0 ** -(1 + 7 * x))
+    if family == "lp":
+        return WeightedLpNorm(dim, 1.2 + 6.8 * x, rng.uniform(0.5, 2.0, dim))
+    if family == "ellipse":
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        return EllipseNorm(rot @ np.diag(rng.uniform(0.25, 4.0, dim)) @ rot.T)
+    return _Rotated(WeightedLpNorm(2, 1.2 + 6.8 * x, [1.0, 2.0]), rng.uniform(0.0, np.pi))
+
+
+class TestGuidedBallExit:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(("smoothmax", "ellipse", "lp", "rotated")), st.sampled_from((2, 3)),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_equals_the_unguided_bisection(self, family, dim, x, seed):
+        # each ball's guided exit against the bisection with an infinite
+        # margin, which evaluates every step, as uint64; a quarter of the rays
+        # graze the tangency point, with |u_axis| from 1e-3 down to 1e-12
+        # (the rotated norm has no Hessian: the guide must not need one)
+        rng = np.random.default_rng(seed)
+        dim = 2 if family == "rotated" else dim
+        p = _TwoBubbleProfile(_exit_norm(family, dim, x, rng), 1.0, 0.3)
+        u = rng.normal(size=(96, dim))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        graze = u[:24]
+        graze[:, p.axis] = rng.choice([-1.0, 1.0], 24) * 10.0 ** rng.uniform(-12, -3, 24)
+        graze /= np.linalg.norm(graze, axis=-1, keepdims=True)
+        level, t_max = p.r * (1 + 1e-13), 2.0 * p.radial_bound
+        for sign in (1.0, -1.0):
+            plain, _ = p._bisect(u, sign * p.center_offset, level, t_max, np.zeros(len(u)),
+                                 np.inf)
+            assert np.array_equal(p._ball_exit(u, sign).view(np.uint64), plain.view(np.uint64))
+
+    def test_validate_and_perimeter_rays_are_certified(self, monkeypatch):
+        # the bubbling benchmark's profile: the guide's margins hold on all
+        # but a few rays, so almost none is bisected a second time
+        p = _TwoBubbleProfile(SmoothedMaxNorm(2, 0.5), 1.5, 0.735)
+        bisect = p._bisect
+        counts = {"rays": 0, "uncertified": 0}
+
+        def counted(u, c, level, t_max, root, margin):
+            lo, certified = bisect(u, c, level, t_max, root, margin)
+            if np.ndim(margin):
+                counts["rays"] += len(u)
+                counts["uncertified"] += int(np.sum(~certified))
+            return lo, certified
+
+        monkeypatch.setattr(p, "_bisect", counted)
+        p.validate()
+        two_bubble_perimeter(p)
+        assert counts["rays"] > 20_000
+        assert counts["uncertified"] < 1e-3 * counts["rays"]
 
 
 class TestNormSequence:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso import (
     EllipseNorm,
@@ -9,6 +11,7 @@ from aniso import (
     LinfNorm,
     SmoothedMaxNorm,
     UnsupportedOperationError,
+    WeightedLpNorm,
     WulffShape,
     aniso_area,
     crystalline_polytope,
@@ -23,6 +26,34 @@ from aniso import (
 def test_radius_must_be_finite_and_positive(r):
     with pytest.raises(InvalidArgumentError, match="radius must be finite and positive"):
         WulffShape(EuclideanNorm(2), r)
+
+
+class TestLipschitz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("euclidean", "ellipse", "lp", "smoothmax")), st.sampled_from((2, 3)),
+           st.integers(0, 2**32 - 1))
+    def test_bounds_the_polar_on_random_vectors(self, family, dim, seed):
+        rng = np.random.default_rng(seed)
+        if family == "ellipse":
+            rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            norm = EllipseNorm(rot @ np.diag(10.0 ** rng.uniform(-2, 2, dim)) @ rot.T)
+        elif family == "lp":
+            norm = WeightedLpNorm(dim, rng.uniform(1.1, 10.0), rng.uniform(0.2, 5.0, dim))
+        elif family == "smoothmax":
+            norm = SmoothedMaxNorm(dim, rng.uniform(0.01, 0.5))
+        else:
+            norm = EuclideanNorm(dim)
+        w = WulffShape(norm, rng.uniform(0.1, 10.0))
+        v = rng.normal(size=(2000, dim)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+        bound = w.lipschitz(v, 0.1)
+        assert np.all(bound >= w.dual.eval(v) / np.linalg.norm(v, axis=-1))
+
+    @pytest.mark.parametrize("spec,bound", [("euclidean", 1.0), ("ellipse:1,4,2", 1.0),
+                                            ("ellipse:0.25,1,4", 2.0)])
+    def test_closed_form_for_euclidean_and_ellipse_polars(self, spec, bound):
+        # max over |v| = 1 of phi_polar(v): sqrt(3) times that before
+        w = WulffShape(parse_norm(spec, 3), 1.5)
+        assert w.lipschitz(np.zeros((4, 3)), 0.1) == pytest.approx(np.full(4, bound), rel=1e-11)
 
 
 class TestContains:
