@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DepthRangeError,
     InvalidArgumentError,
+    ResolutionError,
     VoxelBudgetError,
 )
 from .grid import VoxelSet, distance_transform
@@ -36,6 +37,7 @@ from .verify import (
     PowerLawFit,
     VerificationReport,
     atomic_write,
+    check_bubbling_steps,
     check_disintegration,
     check_erosion_laws,
     check_minkowski_law,
@@ -53,6 +55,8 @@ EXIT_CONFIG = 64
 
 _EXPERIMENTS = ("wulff-identity", "erosion", "minkowski", "disintegration",
                 "bubbling", "all")
+# the experiments that mesh the shape's smooth boundary
+_MESHED = ("erosion", "minkowski", "disintegration", "all")
 
 
 @dataclass
@@ -78,6 +82,13 @@ class RunConfig:
     def shape_spec(self) -> ShapeSpec:
         text = self.shape if self.shape else "wulff r=1.5"
         return parse_shape(text, self.dim, default_norm=self.norm_obj())
+
+    def bubbling_base(self):
+        """The configured shape when bubbling can start from it, else None
+        (the canonical two-bubble family)."""
+        base = self.shape_spec() if self.shape else None
+        return base if base is not None and base.kind in ("two-bubble", "perturbed-wulff") \
+            else None
 
 
 def _parser(convert, ok, rule):
@@ -149,9 +160,17 @@ def parse_config(text) -> RunConfig:
     for key, check in (("norm", cfg.norm_obj),
                        ("sequence", lambda: norm_sequence(cfg.sequence, 1, cfg.dim)),
                        ("shape", cfg.shape_spec),
-                       ("resolution", lambda: check_resolution(cfg.dim, cfg.resolution))):
+                       ("resolution", lambda: check_resolution(cfg.dim, cfg.resolution)),
+                       ("hsteps", lambda: check_bubbling_steps(
+                           cfg.sequence, cfg.hsteps, cfg.bubbling_base(), cfg.dim))):
         if key in lines:
             _checked(lines[key], key, check)
+    norm = cfg.shape_spec().norm
+    if cfg.experiment in _MESHED and not norm.smooth:
+        raise ConfigError(
+            f"line {lines['experiment']}: experiment: {cfg.experiment} cannot run with the "
+            f"crystalline norm {norm.spec_string}: erosion, minkowski and disintegration "
+            f"need a smooth Wulff boundary")
     return cfg
 
 
@@ -160,11 +179,8 @@ def _run_one(cfg: RunConfig, experiment) -> VerificationReport:
         return check_wulff_identity(cfg.norm_obj(), r=cfg.shape_spec().r,
                                     resolution=cfg.resolution, seed=cfg.seed)
     if experiment == "bubbling":
-        base = cfg.shape_spec() if cfg.shape else None
-        if base is not None and base.kind not in ("two-bubble", "perturbed-wulff"):
-            base = None          # fall back to the canonical two-bubble family
         return run_bubbling(seq_kind=cfg.sequence, h_list=cfg.hsteps,
-                            base_spec=base, spacing=cfg.spacing,
+                            base_spec=cfg.bubbling_base(), spacing=cfg.spacing,
                             resolution=cfg.resolution, dim=cfg.dim,
                             stencil_order=cfg.stencil_order)
     common = {"spacing": cfg.spacing, "resolution": cfg.resolution,
@@ -210,10 +226,11 @@ def run(cfg: RunConfig):
                 traceback.print_exc()
                 error = f"{type(exc).__name__}: {exc}"
             reports.append({"experiment_id": experiment, "error": error, "passed": False})
-            # radii and pairs meet rbar, and the spacing the voxel budget, only
-            # once the shape is built; the defaults never fail these checks, so
-            # such an error is the config's
-            if isinstance(exc, (ConfigError, DepthRangeError, VoxelBudgetError)):
+            # radii and pairs meet rbar, and the spacing the voxel budget and
+            # the shape's size, only once the shape is built; the defaults never
+            # fail these checks, so such an error is the config's
+            if isinstance(exc, (ConfigError, DepthRangeError, VoxelBudgetError,
+                                ResolutionError)):
                 print(f"config error: {experiment}: {exc}", file=sys.stderr)
                 status = max(status, EXIT_CONFIG)
             else:

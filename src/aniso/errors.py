@@ -53,6 +53,10 @@ class VoxelBudgetError(InvalidArgumentError):
     """A raster would have more voxels than the budget allows."""
 
 
+class ResolutionError(InvalidArgumentError):
+    """A grid spacing is too coarse to resolve the shape it measures."""
+
+
 class InsufficientDataError(AnisoError):
     """Not enough samples remain for a fit."""
 

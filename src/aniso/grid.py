@@ -333,9 +333,13 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
 
     A sweep walks the slabs of one axis in one direction and relaxes the
     offsets whose largest component, ``oa``, lies on that axis with that sign.
-    Slab i takes one min-plus filter per source slab i - oa: a grey erosion
-    whose footprint holds the offsets' perpendicular shifts, weighted -w, so
-    each candidate is exactly fl(dist[x - o] + w).
+    Slab i takes one min-plus filter per source slab i - oa.  The filter
+    copies the source slab into the rows of a flat +inf-padded buffer, so the
+    source of each perpendicular shift p (read at x - p) is one contiguous
+    slice of it, and the candidates fill rows of the same width.  Shifts
+    whose weights are equal share one add: min_p fl(d_p + w) = fl(min_p d_p
+    + w), since rounding is monotone, so each candidate is exactly
+    fl(dist[x - o] + w).
 
     Clean slabs are skipped.  ``changed[axis][j]`` is the last sweep that
     lowered a voxel with index j on that axis, and ``visited[i]`` the last
@@ -346,23 +350,22 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
     """
     d = dist.ndim
     lead = np.argmax(np.abs(offsets), axis=1)
+    reach = int(np.max(np.abs(offsets)))
     sweeps = []
     for axis in range(d):
         for sign in (1, -1):
             filters = []
-            for oa in sign * np.arange(1, np.max(np.abs(offsets)) + 1):
+            for oa in sign * np.arange(1, reach + 1):
                 sel = (lead == axis) & (offsets[:, axis] == oa)
                 if not sel.any():
                     continue
+                # (row, column) shifts: a 2D slab is a single row
                 perp = np.delete(offsets[sel], axis, axis=1)
-                reach = int(np.max(np.abs(perp)))
-                footprint = np.zeros((2 * reach + 1,) * (d - 1), dtype=bool)
-                structure = np.zeros(footprint.shape)
-                # grey_erosion reads input[x + b - center] at footprint cell b
-                cells = tuple((reach - perp).T)
-                footprint[cells] = True
-                structure[cells] = -weights[sel]
-                filters.append((int(oa), footprint, structure))
+                perp = np.column_stack([np.zeros(len(perp), dtype=int), perp])[:, -2:]
+                groups = {}
+                for shift, w in zip(perp.tolist(), weights[sel].tolist()):
+                    groups.setdefault(w, []).append(shift)
+                filters.append((int(oa), list(groups.items())))
             if filters:
                 sweeps.append((axis, sign, filters, np.full(dist.shape[axis], -1)))
     changed = [np.zeros(n, dtype=int) for n in dist.shape]
@@ -374,23 +377,42 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
             n = dist.shape[axis]
             stamps = changed[axis]
             perp_axes = [j for j in range(d) if j != axis]
-            # two candidate buffers and an update mask, shared by the sweep's slabs
+            # the source slab's rows in a flat buffer: reach +inf rows above and
+            # below (in 3D), and reach +inf cells after each row, which also
+            # pad the next row's start; the candidates fill rows of that width
             shape = dist.shape[:axis] + dist.shape[axis + 1:]
-            cand, cand2 = np.empty(shape), np.empty(shape)
+            rows, cols = shape if d == 3 else (1,) + shape
+            pad = reach if d == 3 else 0
+            width = cols + reach
+            size = rows * width
+            padded = np.full((rows + 2 * pad) * width + 2 * reach, np.inf)
+            first = reach + pad * width
+            source = padded[first:first + size].reshape(rows, width)[:, :cols].reshape(shape)
+            flat, tmp = np.empty(size), np.empty(size)
+            cand = flat.reshape(rows, width)[:, :cols].reshape(shape)
             upd = np.empty(shape, dtype=bool)
+            # shift (p0, p1) reads the source at x - p: one slice of the buffer
+            plan = [(oa, [(w, [padded[first - p0 * width - p1:][:size] for p0, p1 in shifts])
+                          for w, shifts in groups])
+                    for oa, groups in filters]
             for i in range(n) if sign > 0 else range(n - 1, -1, -1):
                 filled = False
-                for oa, footprint, structure in filters:
+                for oa, groups in plan:
                     src = i - oa
                     if not (0 <= src < n and stamps[src] > visited[i]):
                         continue
-                    ndimage.grey_erosion(dist[(slice(None),) * axis + (src,)],
-                                         footprint=footprint, structure=structure,
-                                         output=cand2 if filled else cand,
-                                         mode="constant", cval=np.inf)
-                    if filled:
-                        np.minimum(cand, cand2, out=cand)
-                    filled = True
+                    np.copyto(source, dist[(slice(None),) * axis + (src,)])
+                    for w, views in groups:
+                        low = views[0]
+                        if len(views) > 1:
+                            low = np.minimum(low, views[1], out=tmp)
+                            for view in views[2:]:
+                                np.minimum(low, view, out=low)
+                        if filled:
+                            np.minimum(flat, np.add(low, w, out=tmp), out=flat)
+                        else:
+                            np.add(low, w, out=flat)
+                            filled = True
                 visited[i] = clock
                 if not filled:
                     continue

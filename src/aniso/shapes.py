@@ -727,7 +727,10 @@ def norm_sequence(kind, h, dim=3) -> Norm:
     if kind == "smoothed-max-to-linf":
         return SmoothedMaxNorm(dim, 2.0 ** (-h))
     if kind == "lp-to-linf":
-        return WeightedLpNorm(dim, 2.0 ** h)
+        try:
+            return WeightedLpNorm(dim, 2.0 ** h)
+        except OverflowError:
+            raise InvalidArgumentError(f"lp exponent 2**{h} overflows a float") from None
     raise InvalidArgumentError(f"unknown sequence kind {kind!r}")
 
 

@@ -37,7 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _svg
-from .errors import DepthRangeError, InsufficientDataError
+from .errors import (
+    AnisoError,
+    DepthRangeError,
+    GeometryError,
+    InsufficientDataError,
+    InvalidArgumentError,
+    ResolutionError,
+)
 from .grid import (
     Translate,
     Union,
@@ -52,6 +59,7 @@ from .mesh import aniso_area, curvature, enclosed_volume, lambda_of, lp_deviatio
 from .norms import LinfNorm, Norm
 from .shapes import (
     ShapeSpec,
+    _TwoBubbleProfile,
     gen,
     norm_sequence,
     perturbed_wulff_perimeter,
@@ -282,7 +290,8 @@ def check_erosion_laws(shape: ShapeSpec, radii=None, spacing=None, stencil_order
     The fitted power law goes to extras["power_law"]; read it back with
     ``PowerLawFit(**rep.extras["power_law"])``.  With curvature deviation
     dev > 1 the almost-CMC hypothesis fails and rows are recorded without a
-    pass requirement.  Radii at or past rbar raise DepthRangeError.
+    pass requirement.  Radii at or past rbar raise DepthRangeError, and a
+    spacing that leaves fewer than 4 erosions nonempty raises ResolutionError.
     """
     t0 = time.perf_counter()
     g, stats = _surface_stats(shape, resolution)
@@ -325,6 +334,12 @@ def check_erosion_laws(shape: ShapeSpec, radii=None, spacing=None, stencil_order
     bound = radius_bound * stats["dev_l1"] + 0.02 * n * stats["perimeter"]
     rep.add_condition("lambda-consistency", "first_variation_balance",
                       lhs <= bound, f"{lhs:.4g} <= {bound:.4g}")
+    kept = sum(v > 0 for v in measured)
+    if kept < 4:
+        raise ResolutionError(
+            f"spacing {spacing:.6g} keeps a voxel in only {kept} of the {len(radii)} "
+            f"erosions of a shape with rbar = {rbar:.6g}, and the power-law fit needs 4; "
+            f"use a finer spacing")
     fit = fit_power_law(rbar - radii, measured)
     rep.extras["power_law"] = {"exponent": fit.exponent, "amplitude": fit.amplitude,
                                "residual": fit.residual}
@@ -430,6 +445,47 @@ def check_disintegration(shape: ShapeSpec, resolution=None, spacing=None,
 # experiment: bubbling pipeline
 
 
+def _bubbling_base(seq_kind, base_spec, dim):
+    """The family's base shape: base_spec, or the canonical two-bubble."""
+    if base_spec is not None:
+        return base_spec
+    return ShapeSpec("two-bubble", norm_sequence(seq_kind, 1, dim), r=1.5,
+                     neck_width=0.49 * 1.5)
+
+
+def _bubbling_member(base_spec, seq_kind, h):
+    """Shape h of the family: the base's kind and r under norm h of the
+    sequence, with neck width r 2^-h (0.49 r at h = 1) or perturbation 2^-h / 2."""
+    norm_h = norm_sequence(seq_kind, h, base_spec.norm.dim)
+    rbar = base_spec.r
+    if base_spec.kind == "two-bubble":
+        return ShapeSpec("two-bubble", norm_h, r=rbar,
+                         neck_width=rbar * 2.0 ** (-h) if h > 1 else rbar * 0.49)
+    return ShapeSpec("perturbed-wulff", norm_h, r=rbar,
+                     eps=2.0 ** (-h) * 0.5, pattern=base_spec.pattern)
+
+
+def check_bubbling_steps(seq_kind, h_list, base_spec=None, dim=3):
+    """Raise InvalidArgumentError naming the first h of h_list that
+    `run_bubbling` cannot run: its sequence norm does not exist in floating
+    point, or its two-bubble radial profile is degenerate (from h = 8 in 2D
+    and h = 7 in 3D, where the union of the two near-crystalline balls leaves
+    rays outside the neck band with radius 0)."""
+    base_spec = _bubbling_base(seq_kind, base_spec, dim)
+    for h in h_list:
+        try:
+            spec = _bubbling_member(base_spec, seq_kind, h)
+            if spec.kind == "two-bubble":
+                _TwoBubbleProfile(spec.norm, spec.r, spec.neck_width).validate()
+        except GeometryError:
+            raise InvalidArgumentError(
+                f"step h={h} of {seq_kind} cannot run in {dim}D: its two-bubble "
+                f"radial profile is degenerate") from None
+        except AnisoError as exc:
+            raise InvalidArgumentError(
+                f"step h={h} of {seq_kind} cannot run in {dim}D: {exc}") from exc
+
+
 def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
                  base_spec: ShapeSpec = None, spacing=None, resolution=None,
                  stencil_order=3, dim=3) -> VerificationReport:
@@ -441,9 +497,7 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
     limit-norm Wulff shapes plus the anisotropic perimeter gap.
     """
     t0 = time.perf_counter()
-    if base_spec is None:
-        base_spec = ShapeSpec("two-bubble", norm_sequence(seq_kind, 1, dim), r=1.5,
-                              neck_width=0.49 * 1.5)
+    base_spec = _bubbling_base(seq_kind, base_spec, dim)
     rbar = base_spec.r
     dim = base_spec.norm.dim
     n = dim - 1
@@ -460,13 +514,8 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
     )
     seq_rows = []
     for h in h_list:
-        norm_h = norm_sequence(seq_kind, h, dim)
-        if base_spec.kind == "two-bubble":
-            spec_h = ShapeSpec("two-bubble", norm_h, r=rbar,
-                               neck_width=rbar * 2.0 ** (-h) if h > 1 else rbar * 0.49)
-        else:
-            spec_h = ShapeSpec("perturbed-wulff", norm_h, r=rbar,
-                               eps=2.0 ** (-h) * 0.5, pattern=base_spec.pattern)
+        spec_h = _bubbling_member(base_spec, seq_kind, h)
+        norm_h = spec_h.norm
         g = gen(spec_h, resolution=_mesh_resolution(dim, resolution))
         f = curvature(g.mesh, norm_h)
         dev_h = lp_deviation(f, g.mesh, lam, p=n)

@@ -250,6 +250,58 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("config error: erosion: a grid of")
         assert "budget" in err[0]
 
+    @pytest.mark.parametrize("dim,sequence,h", [
+        (2, "smoothed-max-to-linf", 1100),   # 2^-1100 underflows to eps = 0
+        (2, "smoothed-max-to-linf", 40),     # the two-bubble member is degenerate
+        (2, "smoothed-max-to-linf", 8),
+        (3, "smoothed-max-to-linf", 7),
+        (2, "lp-to-linf", 1100)])            # 2^1100 overflows
+    def test_hsteps_the_sequence_cannot_run_exit_config(self, tmp_path, capsys, dim,
+                                                       sequence, h):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=bubbling\ndim={dim}\nsequence={sequence}\n"
+                            f"hsteps=1,{h}\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: line 4: hsteps: step h={h} of {sequence}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim,h", [(2, 7), (3, 6)])
+    def test_last_hsteps_the_two_bubble_family_runs_are_accepted(self, dim, h):
+        assert parse_config(f"experiment=bubbling\ndim={dim}\nhsteps={h}\n").hsteps == [h]
+
+    @pytest.mark.parametrize("text,experiment,norm", [
+        ("experiment=disintegration\nnorm=l1", "disintegration", "l1"),
+        ("experiment=erosion\nshape=two-bubble neck=0.1 norm=l1", "erosion", "l1"),
+        ("experiment=minkowski\nnorm=linf", "minkowski", "linf"),
+        ("experiment=all\nnorm=l1", "all", "l1")])
+    def test_crystalline_norm_for_meshed_experiment_exits_config(self, tmp_path, capsys,
+                                                                 text, experiment, norm):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{text}\ndim=2\noutdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: line 1: experiment: {experiment} cannot "
+                                 f"run with the crystalline norm {norm}")
+
+    @pytest.mark.parametrize("experiment", ["wulff-identity", "bubbling"])
+    def test_crystalline_norm_accepted_where_it_runs(self, experiment):
+        assert parse_config(f"experiment={experiment}\nnorm=l1\n").norm == "l1"
+
+    @pytest.mark.parametrize("spacing", ["1.4", "100"])
+    def test_spacing_coarser_than_the_shape_exits_config(self, tmp_path, capsys, spacing):
+        # rbar = 1.5: at these spacings fewer than 4 of the 5 erosions keep a voxel
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=erosion\ndim=2\nspacing={spacing}\n"
+                            f"outdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: erosion: spacing {spacing} keeps a voxel")
+        assert "rbar = 1.5" in err[0] and "finer spacing" in err[0]
+
     def test_missing_file_exit(self):
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
 

@@ -327,15 +327,29 @@ class _RingAndDisk:
         return self.outer.bounds()
 
 
+# ellipses whose axes are not the grid's: the weights of the shifts (oa, p)
+# and (oa, -p) of one sweep differ, so a sweep reading x + p instead of x - p
+# relaxes other fields
+_ROTATED = {2: EllipseNorm([[2.0, 0.7], [0.7, 1.0]]),
+            3: EllipseNorm([[1.0, 0.3, 0.2], [0.3, 2.0, -0.4], [0.2, -0.4, 1.5]])}
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestSlabEngine:
     """The dirty-slab engine against the per-offset sweep, bit for bit."""
 
-    @pytest.mark.parametrize("case", ["ellipse-2d", "ring-2d", "smoothmax-3d",
-                                      "ellipse-3d", "ring-3d", "eroded-3d"])
+    @pytest.mark.parametrize("case", ["ellipse-2d", "rotated-2d", "ring-2d", "smoothmax-3d",
+                                      "ellipse-3d", "rotated-3d", "ring-3d", "eroded-3d"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fields_match_per_offset_sweep(self, case, k, monkeypatch):
         if case == "ellipse-2d":
             norm = EllipseNorm(np.diag([1.0, 4.0]))
+            vox = rasterize(WulffShape(norm, 1.0), 0.08)
+        elif case == "rotated-2d":
+            norm = _ROTATED[2]
             vox = rasterize(WulffShape(norm, 1.0), 0.08)
         elif case == "ring-2d":
             norm = EuclideanNorm(2)
@@ -345,6 +359,9 @@ class TestSlabEngine:
             vox = rasterize(WulffShape(norm, 1.0), 0.2, margin=3)
         elif case == "ellipse-3d":
             norm = EllipseNorm(np.diag([1.0, 4.0, 2.0]))
+            vox = rasterize(WulffShape(norm, 1.0), 0.15)
+        elif case == "rotated-3d":
+            norm = _ROTATED[3]
             vox = rasterize(WulffShape(norm, 1.0), 0.15)
         elif case == "ring-3d":
             norm = EuclideanNorm(3)
@@ -373,7 +390,26 @@ class TestSlabEngine:
         want = fields()
         assert len(rounds) == 3
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            assert _same_bits(g, w)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tied_weights_match_per_offset_sweep(self, dim, k):
+        # shifts with equal weights share one add; weights drawn from three
+        # values tie in no symmetric pattern, and the seeds hold -0.0 and -band
+        rng = np.random.default_rng(dim * 10 + k)
+        shape = {2: (23, 29), 3: (9, 10, 11)}[dim]
+        seeds = rng.random(shape) < 0.1
+        dist = np.where(seeds, -rng.random(shape) * 0.3, np.inf)
+        dist[seeds & (rng.random(shape) < 0.3)] = -0.0
+        dist[seeds & (rng.random(shape) < 0.3)] = -0.3
+        offs = stencil_offsets(dim, k)
+        w = rng.choice([1.0, 1.5, 2.0], size=len(offs))
+        want = dist.copy()
+        _per_offset_relax(want, offs, w)
+        _relax_to_fixpoint(dist, offs, w)
+        assert np.signbit(dist).sum() > 0
+        assert _same_bits(dist, want)
 
     def test_many_round_field_matches(self):
         # cheap (1, +-2) steps zigzag across a strip three voxels wide, so each
@@ -388,7 +424,7 @@ class TestSlabEngine:
         rounds = _per_offset_relax(want, offs, w)
         assert rounds >= 6
         _relax_to_fixpoint(dist, offs, w)
-        assert np.array_equal(dist, want)
+        assert _same_bits(dist, want)
 
     def test_round_limit_raises_convergence_error(self):
         occ = np.zeros((12, 12), dtype=bool)
@@ -403,8 +439,8 @@ class TestSlabEngine:
             _relax_to_fixpoint(seed.copy(), offs, w, max_rounds=1)
 
 
-_PROPERTY_NORMS = {2: EllipseNorm(np.diag([1.0, 4.0])),
-                   3: EllipseNorm(np.diag([1.0, 4.0, 2.0]))}
+_PROPERTY_NORMS = {2: [EllipseNorm(np.diag([1.0, 4.0])), _ROTATED[2]],
+                   3: [EllipseNorm(np.diag([1.0, 4.0, 2.0])), _ROTATED[3]]}
 
 
 @st.composite
@@ -439,15 +475,16 @@ class TestDistanceProperties:
         vox, k = case
         occ = vox.occupancy
         assume(occ.any())
-        dual = _PROPERTY_NORMS[vox.dim].dual()
-        cham = chamfer_factor(dual, vox.dim, k)
-        fields = [(distance_transform(vox, dual, k=k).values,
-                   _brute_force(vox, dual, ~occ, occ)),
-                  (grid._seeded_distance(vox, -1.0, dual, k).values,
-                   _brute_force(vox, dual, occ, ~occ))]
-        for vals, exact in fields:
-            assert np.all(vals >= exact * (1 - 1e-12))
-            assert np.all(vals <= cham * exact * (1 + 1e-12))
+        for norm in _PROPERTY_NORMS[vox.dim]:
+            dual = norm.dual()
+            cham = chamfer_factor(dual, vox.dim, k)
+            fields = [(distance_transform(vox, dual, k=k).values,
+                       _brute_force(vox, dual, ~occ, occ)),
+                      (grid._seeded_distance(vox, -1.0, dual, k).values,
+                       _brute_force(vox, dual, occ, ~occ))]
+            for vals, exact in fields:
+                assert np.all(vals >= exact * (1 - 1e-12))
+                assert np.all(vals <= cham * exact * (1 + 1e-12))
 
 
 class TestStencil:
