@@ -121,7 +121,7 @@ _PARSERS = {
     "pairs": _parser(_split(_split(_positive, ":")), lambda v: all(len(p) == 2 for p in v),
                      "must be s:r pairs"),
     "outdir": str,
-    "seed": int,
+    "seed": _parser(int, lambda v: v >= 0, "must be at least 0"),
     "resolution": int,
     "stencil_order": _parser(int, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),
     "tol": _positive,

@@ -6,7 +6,8 @@ computed as a shortest-path distance on the voxel graph with a k-ring stencil
 phi_polar(offset * spacing).  Relaxation runs as vectorized directional sweeps
 iterated to the unique Bellman fixpoint, so the result is the exact
 stencil-restricted shortest-path distance: deterministic, and an overestimate
-of the true metric distance by at most the stencil's chamfer factor.
+of the true metric distance by at most the stencil's chamfer factor, an upper
+bound of the stencil metric over phi_polar on the lattice (`chamfer_factor`).
 
 Rasterization and thresholding are pure per-voxel operations; each relaxation
 owns its field, and voxel sets are treated as immutable after construction.
@@ -464,7 +465,7 @@ class DistanceField:
 
     @property
     def chamfer_factor(self):
-        """A-priori worst-case overestimation ratio of the stencil metric."""
+        """A-priori bound of the stencil metric's overestimation ratio."""
         if self._chamfer is None:
             self._chamfer = chamfer_factor(self.dual, self.voxels.dim, self.stencil_order)
         return self._chamfer
@@ -604,17 +605,45 @@ def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
 
 
 def chamfer_factor(dual: Norm, dim, k):
-    """max over directions of (stencil path metric) / phi_polar, exactly.
+    """An upper bound of d / phi_polar on the lattice, d the stencil metric.
 
-    The stencil metric is the gauge of K = conv{ offset / phi_polar(offset) }.
-    On a facet a.x <= b of K, sup_u (a.u) / phi_polar(u) = phi(a), so the
-    factor is the largest phi(a) / b over the facets of the hull.
+    d(z) is the least sum of phi_polar(o) over stencil paths from 0 to z, at
+    least the gauge g of K = conv{ o / phi_polar(o) }.  On the cone of a
+    facet a.x <= b of K, g <= H_f phi_polar with H_f = phi(a) / b.  A lattice
+    point z of that cone is sum floor(mu_j) o_j + p over the facet's offsets
+    o_j, with |p|_inf < dim k, so d(z) - g(z) <= d(p) - g(p) <= C_f, the
+    largest excess on the cone's points of that box, and d / phi_polar <=
+    H_f + C_f / phi_polar(z).  C_f = 0 where the o_j span the lattice (every
+    2D stencil measured), and there the factor is the hull value max H_f.
+
+    d comes from one relaxation from a single voxel over |z|_inf <= R = dim k
+    (paths that stay in the box: at least d).  The factor is the largest
+    ratio in the box and, beyond it, where phi_polar(z) >= (R + 1) /
+    max_i phi(e_i), the largest H_f + C_f max_i phi(e_i) / (R + 1).
     """
     from scipy.spatial import ConvexHull
 
-    offs = stencil_offsets(dim, k).astype(float)
-    eq = ConvexHull(offs / dual.eval(offs)[:, None]).equations
-    return max(1.0, float(np.max(dual.dual().eval(eq[:, :-1]) / -eq[:, -1])))
+    offs = stencil_offsets(dim, k)
+    w = dual.eval(offs.astype(float))
+    eq = ConvexHull(offs / w[:, None]).equations
+    norm = dual.dual()
+    h_f = norm.eval(eq[:, :-1]) / -eq[:, -1]
+    rad = dim * k
+    dist = np.full((2 * rad + 1,) * dim, np.inf)
+    dist[(rad,) * dim] = 0.0
+    _relax_to_fixpoint(dist, offs, w)
+    z = np.indices(dist.shape).reshape(dim, -1).T - rad
+    d = dist.ravel()
+    pol = dual.eval(z.astype(float))
+    box = np.max(d[pol > 0] / pol[pol > 0])
+    # each point of |p|_inf < R lies in the cones whose facet attains g(p)
+    near = np.max(np.abs(z), axis=1) < rad
+    g_f = z[near] @ (eq[:, :-1] / -eq[:, -1:]).T
+    g = np.max(g_f, axis=1)
+    cone = g_f >= g[:, None] - 1e-9 * np.abs(g[:, None])
+    c_f = np.max(np.where(cone, (d[near] - g)[:, None], 0.0), axis=0)
+    tail = np.max(h_f + c_f * np.max(norm.eval(np.eye(dim))) / (rad + 1))
+    return max(1.0, float(box), float(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ class ShapeSpec:
             raise InvalidArgumentError("perturbation amplitude must satisfy 0 <= eps < 0.3")
         if self.kind == "two-bubble" and not (0.0 < self.neck_width < self.r / 2):
             raise InvalidArgumentError("neck width must lie in (0, r/2)")
+        if self.count < 1:
+            raise InvalidArgumentError(f"bubble count must be at least 1, got {self.count}")
 
 
 @dataclass
@@ -96,10 +98,7 @@ def perturbation_pattern(dim, pattern):
     }
     if int(pattern) not in tab:
         raise InvalidArgumentError("pattern index must be 0..3")
-    raw_value, raw_grad = tab[int(pattern)]
-
-    def value(u):
-        return raw_value(u)
+    value, raw_grad = tab[int(pattern)]
 
     def sgrad(u):
         g = raw_grad(u)
@@ -499,38 +498,17 @@ class TwoBubbleSolid:
 def _gen_two_bubble(spec, resolution):
     profile = _TwoBubbleProfile(spec.norm, spec.r, spec.neck_width)
     u, faces = _sphere_sample(spec.norm.dim, resolution)
-    t, probes = _tangent_probes(u)
+    t = tangent_basis(u)
     # validate's samples, the mesh rays and the normals' probes in one solve
-    rho, *probe_rho = profile.validate(u, *probes)
-    verts = rho[:, None] * u
-    mesh = TriSurface(verts, faces, normals=_radial_graph_normals(u, rho, t, probe_rho))
+    rho, *probe_rho = profile.validate(u, *_chord_probes(u, t, 1e-5))
+    # outward normal of x = rho(u) u: proportional to u - grad_S(rho) / rho
+    nrm = u - _grad_s(t, probe_rho, [(1e-5, 1.0)] * t.shape[-1]) / rho[:, None]
+    mesh = TriSurface(rho[:, None] * u, faces,
+                      normals=nrm / np.linalg.norm(nrm, axis=-1, keepdims=True))
     solid = TwoBubbleSolid(profile)
     centers = np.stack([-profile.center_offset, profile.center_offset])
     return GeneratedShape(spec, mesh, solid,
                           meta={"centers": centers, "beta": profile.beta})
-
-
-_NORMAL_STEP = 1e-5
-
-
-def _tangent_probes(u):
-    """The tangent basis t of u, (N, d, d-1), and the unit rays u +- dt t_k."""
-    t = tangent_basis(u)
-    probes = []
-    for k in range(t.shape[-1]):
-        for sgn in (1.0, -1.0):
-            p = u + sgn * _NORMAL_STEP * t[..., k]
-            probes.append(p / np.linalg.norm(p, axis=-1, keepdims=True))
-    return t, probes
-
-
-def _radial_graph_normals(u, rho, t, probe_rho):
-    """Outward normals of x = rho(u) u: proportional to u - (grad_S rho)/rho,
-    with probe_rho the radii at the rays of `_tangent_probes`."""
-    grads = [(probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * _NORMAL_STEP)
-             for k in range(t.shape[-1])]
-    nrm = u - sum(g[:, None] * t[..., k] for k, g in enumerate(grads)) / rho[:, None]
-    return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
 
 def _gen_tangent_union(spec, resolution):
@@ -559,55 +537,52 @@ def _gen_tangent_union(spec, resolution):
 
 
 # ---------------------------------------------------------------------------
-# dense radial-graph perimeter quadrature
+# radial graphs x = rho(u) u
 #
-# For a star-shaped surface x = rho(u) u the anisotropic area element is
-# phi(rho^2 u - rho grad_S rho) dsigma(u) in 3D (phi(rho u - rho' t) dalpha in
-# 2D) by 1-homogeneity of phi, so the perimeter reduces to a quadrature over
-# directions.  This resolves near-crystalline norms far better than chordal
-# meshes, whose slanted faces misreport phi(normal) around sharp edges.
+# The anisotropic area element of a star-shaped surface x = rho(u) u is
+# phi(rho^(d-1) u - rho^(d-2) grad_S rho) dsigma(u) by 1-homogeneity of phi,
+# and its outward normal is proportional to u - grad_S(rho) / rho.  One
+# gradient (`_grad_s`, central differences along a unit tangent frame) and one
+# density (`_area_density`) serve every perimeter and the two-bubble normals in
+# both dimensions.  The dense direction quadrature resolves near-crystalline
+# norms far better than chordal meshes, whose slanted faces misreport
+# phi(normal) around sharp edges.
+
+_SPHERE_AREA = {2: 2 * np.pi, 3: 4 * np.pi}
+
+
+def _chord_probes(u, t, h):
+    """The unit rays u +- h t_k, + then - for each column k of the frame t."""
+    for k in range(t.shape[-1]):
+        for p in (u + h * t[..., k], u - h * t[..., k]):
+            yield p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+
+def _grad_s(t, probe_rho, steps):
+    """Tangential gradient of rho on the unit tangent frame t, (..., d, d-1).
+
+    probe_rho holds the radii at the + and the - probe of each column in
+    turn; steps[k] = (h, speed): the probes of column k sit at parameter +-h,
+    and the parameter moves the ray along t_k at that speed.
+    """
+    return sum(((probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * h) / speed)[..., None]
+               * t[..., k] for k, (h, speed) in enumerate(steps))
+
+
+def _area_density(norm, u, rho, grad_s):
+    """phi(rho^(d-1) u - rho^(d-2) grad_S rho), the area element per dsigma(u)."""
+    d = u.shape[-1]
+    return norm.eval((rho**(d - 1))[..., None] * u - (rho**(d - 2))[..., None] * grad_s)
 
 
 def radial_perimeter(norm, rho_fn, n_dirs=None):
     """Anisotropic perimeter of the radial graph rho(u) u by direction quadrature."""
     dim = norm.dim
-    if dim == 2:
-        n = 200_000 if n_dirs is None else n_dirs
-        alpha = (np.arange(n) + 0.5) * (2 * np.pi / n)
-        u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
-        t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
-        rho = rho_fn(u)
-        da = 2 * np.pi / n
-        up = np.stack([np.cos(alpha + 1e-6), np.sin(alpha + 1e-6)], axis=-1)
-        um = np.stack([np.cos(alpha - 1e-6), np.sin(alpha - 1e-6)], axis=-1)
-        drho = (rho_fn(up) - rho_fn(um)) / 2e-6
-        vec = rho[:, None] * u - drho[:, None] * t
-        return float(np.sum(norm.eval(vec)) * da)
-    n = 400_000 if n_dirs is None else n_dirs
-    u = unit_sphere_samples(dim, n)
+    u = unit_sphere_samples(dim, {2: 200_000, 3: 400_000}[dim] if n_dirs is None else n_dirs)
     t = tangent_basis(u)
-    rho = rho_fn(u)
-    grads = []
-    dt = 1e-6
-    for k in range(2):
-        up = u + dt * t[..., k]
-        up /= np.linalg.norm(up, axis=-1, keepdims=True)
-        um = u - dt * t[..., k]
-        um /= np.linalg.norm(um, axis=-1, keepdims=True)
-        grads.append((rho_fn(up) - rho_fn(um)) / (2 * dt))
-    vec = (rho**2)[:, None] * u - rho[:, None] * (
-        grads[0][:, None] * t[..., 0] + grads[1][:, None] * t[..., 1])
-    return float(np.mean(norm.eval(vec)) * 4 * np.pi)
-
-
-def wulff_radial_rho(norm, r):
-    """Radial function of the Wulff ball, r / phi_polar(u)."""
-    dual = norm.dual()
-
-    def rho(u):
-        return r / dual.eval(u)
-
-    return rho
+    probe_rho = [rho_fn(p) for p in _chord_probes(u, t, 1e-6)]
+    grad_s = _grad_s(t, probe_rho, [(1e-6, 1.0)] * (dim - 1))
+    return float(np.mean(_area_density(norm, u, rho_fn(u), grad_s)) * _SPHERE_AREA[dim])
 
 
 def _wulff_ball_perimeter(dual, r, n_dirs):
@@ -620,8 +595,26 @@ def _wulff_ball_perimeter(dual, r, n_dirs):
     """
     n = dual.dim - 1
     u = unit_sphere_samples(dual.dim, n_dirs)
-    sphere = 2 * np.pi if n == 1 else 4 * np.pi
-    return r**n * float(np.mean(dual.eval(u) ** -(n + 1))) * sphere
+    return r**n * float(np.mean(dual.eval(u) ** -(n + 1))) * _SPHERE_AREA[dual.dim]
+
+
+def _axis_frame(axis, theta, psi=None):
+    """Rays at polar angle theta from e_axis (and azimuth psi about it in 3D),
+    with their unit tangents along theta (and psi): shapes (..., d), (..., d, d-1)."""
+    d = 2 if psi is None else 3
+    perp = [k for k in range(d) if k != axis]
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.empty(theta.shape + (d,))
+    t = np.zeros(theta.shape + (d, d - 1))
+    u[..., axis], t[..., axis, 0] = c, -s
+    if psi is None:
+        u[..., perp[0]], t[..., perp[0], 0] = s, c
+    else:
+        cp, sp = np.cos(psi), np.sin(psi)
+        u[..., perp[0]], u[..., perp[1]] = s * cp, s * sp
+        t[..., perp[0], 0], t[..., perp[1], 0] = c * cp, c * sp
+        t[..., perp[0], 1], t[..., perp[1], 1] = -sp, cp
+    return u, t
 
 
 def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(180, 256)):
@@ -629,77 +622,40 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(1
 
     Outside the neck band the dumbbell boundary coincides with the two ball
     boundaries, so the band integral of (blend - union) is the only
-    correction to twice the one-ball perimeter.
+    correction to twice the one-ball perimeter.  The bands are (band, theta,
+    psi) grids of polar angle theta and azimuth psi about the axis: in 2D two
+    bands about theta = +-pi/2, of 4,096 angles each; in 3D one band about
+    pi/2.  Their rays and the probes at theta +- 1e-6 (and psi +- 1e-6) go
+    through one solve.
     """
-    norm = profile.norm
-    p_ball = _wulff_ball_perimeter(profile.dual, profile.r,
-                                   n_ball if norm.dim == 3 else 100_000)
-    if norm.dim == 2:
-        # both bands' rays and their +-1e-6 neighbours go through one solve
-        bands = [np.linspace(center - profile.beta, center + profile.beta, 4096)
-                 for center in (np.pi / 2, -np.pi / 2)]
-        rho_u, rho_b = profile._radii_sets(
-            [_rot2(a) for alpha in bands for a in (alpha, alpha + 1e-6, alpha - 1e-6)])
-        corr = 0.0
-        for i, alpha in enumerate(bands):
-            u = _rot2(alpha)
-            t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
-
-            def vec_of(rho, rho_plus, rho_minus):
-                drho = (rho_plus - rho_minus) / 2e-6
-                return rho[:, None] * u - drho[:, None] * t
-
-            vb = vec_of(*rho_b[3 * i:3 * i + 3])
-            vu = vec_of(*rho_u[3 * i:3 * i + 3])
-            corr += float(np.sum(norm.eval(vb) - norm.eval(vu)) * (alpha[1] - alpha[0]))
-        return 2 * p_ball + corr
-    n_theta, n_psi = n_band
-    beta = profile.beta
-    theta = np.linspace(np.pi / 2 - beta, np.pi / 2 + beta, n_theta)
-    psi = (np.arange(n_psi) + 0.5) * (2 * np.pi / n_psi)
-    tg, pg = np.meshgrid(theta, psi, indexing="ij")
-    dt_h = theta[1] - theta[0]
-    dp = 2 * np.pi / n_psi
-    axis = profile.axis
-    perp = [k for k in range(3) if k != axis]
-
-    def dir_of(th, ps):
-        u = np.empty(th.shape + (3,))
-        u[..., axis] = np.cos(th)
-        u[..., perp[0]] = np.sin(th) * np.cos(ps)
-        u[..., perp[1]] = np.sin(th) * np.sin(ps)
-        return u
-
-    d = 1e-6
-    probes = [dir_of(th, ps).reshape(-1, 3)
-              for th, ps in ((tg, pg), (tg + d, pg), (tg - d, pg), (tg, pg + d), (tg, pg - d))]
-    rho_u, rho_b = profile._radii_sets(probes)
-
-    def vec_of(rhos):
-        rho, rho_tp, rho_tm, rho_pp, rho_pm = (r.reshape(tg.shape) for r in rhos)
-        drho_t = (rho_tp - rho_tm) / (2 * d)
-        drho_p = (rho_pp - rho_pm) / (2 * d)
-        that = np.empty(tg.shape + (3,))
-        that[..., axis] = -np.sin(tg)
-        that[..., perp[0]] = np.cos(tg) * np.cos(pg)
-        that[..., perp[1]] = np.cos(tg) * np.sin(pg)
-        phat = np.empty(tg.shape + (3,))
-        phat[..., axis] = 0.0
-        phat[..., perp[0]] = -np.sin(pg)
-        phat[..., perp[1]] = np.cos(pg)
-        grad_s = drho_t[..., None] * that + (drho_p / np.sin(tg))[..., None] * phat
-        u3 = dir_of(tg, pg)
-        return (rho**2)[..., None] * u3 - rho[..., None] * grad_s
-
-    vb = vec_of(rho_b)
-    vu = vec_of(rho_u)
-    diff = (norm.eval(vb.reshape(-1, 3)) - norm.eval(vu.reshape(-1, 3))).reshape(tg.shape)
-    corr = float(np.sum(diff * np.sin(tg)) * dt_h * dp)
+    norm, dim, beta, d = profile.norm, profile.norm.dim, profile.beta, 1e-6
+    if dim == 2:
+        n_ball, psi, dpsi = 100_000, None, 1.0
+        theta = np.stack([np.linspace(c - beta, c + beta, 4096)
+                          for c in (np.pi / 2, -np.pi / 2)])[..., None]
+        probes = [(theta, psi), (theta + d, psi), (theta - d, psi)]
+    else:
+        n_theta, n_psi = n_band
+        dpsi = 2 * np.pi / n_psi
+        theta, psi = np.meshgrid(np.linspace(np.pi / 2 - beta, np.pi / 2 + beta, n_theta),
+                                 (np.arange(n_psi) + 0.5) * dpsi, indexing="ij")
+        theta, psi = theta[None], psi[None]
+        probes = [(theta, psi), (theta + d, psi), (theta - d, psi),
+                  (theta, psi + d), (theta, psi - d)]
+    p_ball = _wulff_ball_perimeter(profile.dual, profile.r, n_ball)
+    rays = [_axis_frame(profile.axis, th, ps)[0].reshape(-1, dim) for th, ps in probes]
+    rho_u, rho_b = profile._radii_sets(rays)
+    t = _axis_frame(profile.axis, theta, psi)[1].reshape(-1, dim, dim - 1)
+    sin = np.sin(theta).ravel()
+    steps = [(d, 1.0), (d, sin)][:dim - 1]
+    dens_b, dens_u = (_area_density(norm, rays[0], rho[0], _grad_s(t, rho[1:], steps))
+                      for rho in (rho_b, rho_u))
+    # dsigma = sin(theta)^(d-2) dtheta dpsi
+    diff = ((dens_b - dens_u) * sin ** (dim - 2)).reshape(theta.shape)
+    corr = 0.0
+    for band, th in zip(diff, theta):
+        corr += float(np.sum(band) * (th[1, 0] - th[0, 0]) * dpsi)
     return 2 * p_ball + corr
-
-
-def _rot2(alpha):
-    return np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
 
 
 def perturbed_wulff_perimeter(spec: ShapeSpec, n_dirs=None):

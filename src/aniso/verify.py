@@ -65,16 +65,16 @@ from .shapes import (
     perturbed_wulff_perimeter,
     two_bubble_perimeter,
 )
-from .wulff import WulffShape, crystalline_polytope, monte_carlo_volume
+from .wulff import _RESOLUTIONS, WulffShape, crystalline_polytope, monte_carlo_volume
 
 
 # erosion depths rbar - frac * rbar at which run_bubbling counts bubbles
 _PROBE_FRACS = (0.05, 0.10, 0.15)
 
 DEFAULTS = {
-    2: {"spacing_frac": 1 / 100, "resolution": 2048, "tol_identity": 0.010,
+    2: {"spacing_frac": 1 / 100, "tol_identity": 0.010,
         "tol_erosion": 0.015, "tol_minkowski": 0.03},
-    3: {"spacing_frac": 1 / 48, "resolution": 5, "tol_identity": 0.015,
+    3: {"spacing_frac": 1 / 48, "tol_identity": 0.015,
         "tol_erosion": 0.025, "tol_minkowski": 0.03},
 }
 
@@ -203,13 +203,13 @@ def fit_power_law(gaps, values) -> PowerLawFit:
 
 
 def _mesh_resolution(dim, resolution):
-    return DEFAULTS[dim]["resolution"] if resolution is None else resolution
+    return _RESOLUTIONS[dim][1] if resolution is None else resolution
 
 
 def _coarser(resolution, dim):
     """The Richardson partner mesh: one subdivision level down in 3D, half the
-    points in 2D (at least the 3-point minimum), never finer than the mesh."""
-    return max(resolution - 1, 0) if dim == 3 else max(resolution // 2, 3)
+    points in 2D, at least the least resolution, never finer than the mesh."""
+    return max(resolution - 1 if dim == 3 else resolution // 2, _RESOLUTIONS[dim][0])
 
 
 def _surface_stats(spec: ShapeSpec, resolution):

@@ -72,15 +72,16 @@ def closed_loop_faces(count):
     return np.stack([idx, np.roll(idx, -1)], axis=-1)
 
 
-# mesh resolutions accepted per dimension: points on the circle in 2D, and an
-# icosphere subdivision level in 3D (level 8 has 655,362 vertices)
-_RESOLUTION_RANGE = {2: (3, 2**20, "points"), 3: (0, 8, "an icosphere level")}
+# mesh resolutions per dimension, (least, default, greatest, unit): points on
+# the circle in 2D, and an icosphere subdivision level in 3D (level 5 has
+# 10,242 vertices, level 8 655,362)
+_RESOLUTIONS = {2: (3, 2048, 2**20, "points"), 3: (0, 5, 8, "an icosphere level")}
 
 
 def check_resolution(dim, resolution):
     """Raise InvalidArgumentError unless ``resolution`` is within the range of
     its dimension: 3 to 2^20 points in 2D, level 0 to 8 in 3D."""
-    lo, hi, unit = _RESOLUTION_RANGE[dim]
+    lo, _, hi, unit = _RESOLUTIONS[dim]
     if not lo <= resolution <= hi:
         raise InvalidArgumentError(
             f"mesh resolution must be {lo} to {hi} ({unit}) in {dim}D, got {resolution}")
@@ -89,13 +90,12 @@ def check_resolution(dim, resolution):
 def _sphere_sample(dim, resolution=None):
     """Unit directions and faces of a closed sphere mesh: ``resolution``
     points on the circle in 2D (default 2,048), an icosphere of that
-    subdivision level in 3D (default 5, 10,242 vertices)."""
-    if resolution is not None:
-        check_resolution(dim, resolution)
-    if dim == 3:
-        return icosphere(5 if resolution is None else int(resolution))
-    count = 2048 if resolution is None else int(resolution)
-    return circle_points(count), closed_loop_faces(count)
+    subdivision level in 3D (default 5), as `_RESOLUTIONS` holds them."""
+    if resolution is None:
+        resolution = _RESOLUTIONS[dim][1]
+    check_resolution(dim, resolution)
+    n = int(resolution)
+    return icosphere(n) if dim == 3 else (circle_points(n), closed_loop_faces(n))
 
 
 # ---------------------------------------------------------------------------

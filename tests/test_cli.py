@@ -133,7 +133,8 @@ class TestRun:
         "stencil_order=0", "stencil_order=7", "radii=0.1,0.2", "radii=0.1,0.2,0.3,0.4,5.0",
         "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
         "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc",
-        "norm=lp:1e300", "norm=lp:1.0000000000000002:2,1"])
+        "norm=lp:1e300", "norm=lp:1.0000000000000002:2,1", "seed=-1",
+        "shape=tangent-union r=0.5 k=0"])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")

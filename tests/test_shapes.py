@@ -28,7 +28,6 @@ from aniso.shapes import (
     perturbed_wulff_perimeter,
     radial_perimeter,
     two_bubble_perimeter,
-    wulff_radial_rho,
 )
 
 
@@ -174,15 +173,19 @@ class TestPatterns:
 
 class TestRadialPerimeter:
     def test_sphere(self):
-        e3 = EuclideanNorm(3)
-        p = radial_perimeter(e3, wulff_radial_rho(e3, 1.5), n_dirs=100_000)
+        dual = EuclideanNorm(3).dual()
+        p = radial_perimeter(EuclideanNorm(3), lambda u: 1.5 / dual.eval(u), n_dirs=100_000)
         assert p == pytest.approx(4 * np.pi * 1.5**2, rel=1e-6)
 
-    def test_matches_mesh_for_smooth_norms(self):
-        norm = EllipseNorm(np.diag([1.0, 4.0, 2.0]))
-        p = radial_perimeter(norm, wulff_radial_rho(norm, 1.0), n_dirs=100_000)
+    _ELLIPSES = {2: [1.0, 4.0], 3: [1.0, 4.0, 2.0]}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_mesh_for_smooth_norms(self, dim):
+        norm = EllipseNorm(np.diag(self._ELLIPSES[dim]))
+        dual = norm.dual()
+        p = radial_perimeter(norm, lambda u: 1.0 / dual.eval(u), n_dirs=100_000)
         from aniso.mesh import aniso_area
-        mesh = WulffShape(norm, 1.0).boundary_mesh(resolution=5)
+        mesh = WulffShape(norm, 1.0).boundary_mesh()  # 2,048 points, icosphere level 5
         assert p == pytest.approx(aniso_area(mesh, norm), rel=2e-3)
 
     def test_two_bubble_smooth_case_matches_mesh(self):
@@ -193,11 +196,12 @@ class TestRadialPerimeter:
         mesh_val = aniso_area(g.mesh, norm)
         assert quad == pytest.approx(mesh_val, rel=5e-3)
 
-    def test_perturbed_wulff_smooth_case_matches_mesh(self):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_perturbed_wulff_smooth_case_matches_mesh(self, dim):
         from aniso.mesh import aniso_area
-        norm = EllipseNorm(np.diag([1.0, 4.0, 2.0]))
+        norm = EllipseNorm(np.diag(self._ELLIPSES[dim]))
         spec = ShapeSpec("perturbed-wulff", norm, r=1.5, eps=0.1, pattern=0)
-        g = gen(spec, resolution=5)
+        g = gen(spec)
         assert perturbed_wulff_perimeter(spec, n_dirs=100_000) == pytest.approx(
             aniso_area(g.mesh, norm), rel=5e-3)
 
@@ -492,15 +496,16 @@ class TestTwoBubbleProfileReference:
     @pytest.mark.parametrize("dim,spec", _SMOOTH_PROFILE_NORMS)
     def test_ball_term_matches_radial_perimeter(self, dim, spec):
         norm = parse_norm(spec, dim)
+        dual = norm.dual()
         n_dirs = 20_000 if dim == 3 else 100_000
-        assert _wulff_ball_perimeter(norm.dual(), 1.3, n_dirs) == pytest.approx(
-            radial_perimeter(norm, wulff_radial_rho(norm, 1.3), n_dirs=n_dirs), rel=1e-12)
+        assert _wulff_ball_perimeter(dual, 1.3, n_dirs) == pytest.approx(
+            radial_perimeter(norm, lambda u: 1.3 / dual.eval(u), n_dirs=n_dirs), rel=1e-12)
 
     @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
     def test_perimeter_matches_two_call_composition(self, dim, spec):
         p = self._profile(dim, spec)
         n_ball, n_band = 20_000, (40, 32)
-        p_ball = radial_perimeter(p.norm, wulff_radial_rho(p.norm, p.r),
+        p_ball = radial_perimeter(p.norm, lambda u: p.r / p.dual.eval(u),
                                   n_dirs=n_ball if dim == 3 else 100_000)
         ref = 2 * p_ball + _band_correction_two_calls(p, n_band)
         assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(

@@ -220,13 +220,14 @@ class TestVolumePerimeter:
     def test_smoothmax_perimeter_extrapolates_to_crystalline_limit(self):
         # oracle: refine eps and extrapolate; the linf limit is the
         # cross-polytope with P = (n+1)|W|/r = 4 at r = 1
-        from aniso.shapes import radial_perimeter, wulff_radial_rho
-        p_fine = radial_perimeter(SmoothedMaxNorm(3, 0.05),
-                                  wulff_radial_rho(SmoothedMaxNorm(3, 0.05), 1.0),
-                                  n_dirs=200_000)
-        p_finer = radial_perimeter(SmoothedMaxNorm(3, 0.025),
-                                   wulff_radial_rho(SmoothedMaxNorm(3, 0.025), 1.0),
-                                   n_dirs=200_000)
+        from aniso.shapes import radial_perimeter
+
+        def perimeter(eps):
+            norm = SmoothedMaxNorm(3, eps)
+            dual = norm.dual()
+            return radial_perimeter(norm, lambda u: 1.0 / dual.eval(u), n_dirs=200_000)
+
+        p_fine, p_finer = perimeter(0.05), perimeter(0.025)
         extrapolated = 2 * p_finer - p_fine
         assert extrapolated == pytest.approx(4.0, rel=0.03)
 
