@@ -8,20 +8,25 @@ iterated to the unique Bellman fixpoint, so the result is the exact
 stencil-restricted shortest-path distance: deterministic, and an overestimate
 of the true metric distance by at most the stencil's chamfer factor, an upper
 bound of the stencil metric over phi_polar on the lattice (`chamfer_factor`).
+Shifts (p0, b) and (p0, -b) of equal weight read one pair buffer of minima.
+A dilation by t relaxes only the box of its seeds' reaches, up to t, and
+relaxes again up to t plus the seeding band only when its level is read.
 
 Rasterization and thresholding are pure per-voxel operations; each relaxation
 owns its field, and voxel sets are treated as immutable after construction.
 A set may drop its level array and rebuild it, bit for bit, but never changes
-it: a raster or an erosion hands a level array that no reader holds to the
-first seeding, which writes the field into it, and builds the level again
-when it is next read.  Fields of distinct sets may be computed concurrently;
-two threads seeding one set at once may both be handed its level.
+it: a raster, an erosion or a dilation hands a level array that no reader
+holds to the first seeding, which writes the field into it, and builds the
+level again when it is next read.  Fields of distinct sets may be computed
+concurrently; two threads seeding one set at once may both be handed its
+level.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +56,9 @@ class VoxelSet:
     stores +-inf in blocks of _STRIDE^d voxels that lie wholly beyond it.
 
     A ``level=`` array passed in is never written: seeding copies it.  The
-    sets of `rasterize` and `erode` can rebuild their level bit for bit, so
-    seeding takes their array, unless ``level`` has handed it to a reader,
-    and the next read of ``level`` rebuilds it.
+    sets of `rasterize`, `erode` and `dilate` can rebuild their level bit for
+    bit, so seeding takes their array, unless ``level`` has handed it to a
+    reader, and the next read of ``level`` rebuilds it.
     """
 
     def __init__(self, origin, spacing, occupancy, level=None):
@@ -340,7 +345,12 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
     slice of it, and the candidates fill rows of the same width.  Shifts
     whose weights are equal share one add: min_p fl(d_p + w) = fl(min_p d_p
     + w), since rounding is monotone, so each candidate is exactly
-    fl(dist[x - o] + w).
+    fl(dist[x - o] + w).  Within such a group the shifts (p0, b) and (p0, -b)
+    read one slice of a column-pair buffer, min(S[y - b], S[y + b]), built
+    once per source copy for each b that at least two pairs of the filter
+    share (a single pair would trade one minimum for another).  A minimum is
+    exact up to the sign of a zero, and w > 0 makes +-0 + w = w, so pairing
+    changes no candidate.
 
     Clean slabs are skipped.  ``changed[axis][j]`` is the last sweep that
     lowered a voxel with index j on that axis, and ``visited[i]`` the last
@@ -365,8 +375,8 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
                 perp = np.column_stack([np.zeros(len(perp), dtype=int), perp])[:, -2:]
                 groups = {}
                 for shift, w in zip(perp.tolist(), weights[sel].tolist()):
-                    groups.setdefault(w, []).append(shift)
-                filters.append((int(oa), list(groups.items())))
+                    groups.setdefault(w, []).append(tuple(shift))
+                filters.append((int(oa), *_paired(list(groups.items()))))
             if filters:
                 sweeps.append((axis, sign, filters, np.full(dist.shape[axis], -1)))
     changed = [np.zeros(n, dtype=int) for n in dist.shape]
@@ -392,17 +402,29 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
             flat, tmp = np.empty(size), np.empty(size)
             cand = flat.reshape(rows, width)[:, :cols].reshape(shape)
             upd = np.empty(shape, dtype=bool)
-            # shift (p0, p1) reads the source at x - p: one slice of the buffer
-            plan = [(oa, [(w, [padded[first - p0 * width - p1:][:size] for p0, p1 in shifts])
-                          for w, shifts in groups])
-                    for oa, groups in filters]
+            # shift (p0, p1) reads the source at x - p: one slice of the buffer,
+            # and the pair (p0, +-b) reads x - p0 rows in the pair buffer of b
+            pairbuf = {b: np.empty(len(padded)) for _, _, rows_b in filters for b in rows_b}
+            plan = []
+            for oa, groups, rows_b in filters:
+                builds = []
+                for b, (lo, hi) in rows_b.items():
+                    start, end = first - hi * width, first - lo * width + size
+                    builds.append((padded[start - b:end - b], padded[start + b:end + b],
+                                   pairbuf[b][start:end]))
+                views = [(w, [padded[first - p0 * width - p1:][:size] for p0, p1 in shifts]
+                          + [pairbuf[b][first - p0 * width:][:size] for p0, b in pairs])
+                         for w, shifts, pairs in groups]
+                plan.append((oa, builds, views))
             for i in range(n) if sign > 0 else range(n - 1, -1, -1):
                 filled = False
-                for oa, groups in plan:
+                for oa, builds, groups in plan:
                     src = i - oa
                     if not (0 <= src < n and stamps[src] > visited[i]):
                         continue
                     np.copyto(source, dist[(slice(None),) * axis + (src,)])
+                    for below, above, pair in builds:
+                        np.minimum(below, above, out=pair)
                     for w, views in groups:
                         low = views[0]
                         if len(views) > 1:
@@ -431,6 +453,25 @@ def _relax_to_fixpoint(dist, offsets, weights, max_rounds=128):
             return
     raise ConvergenceError(f"distance relaxation did not converge in {max_rounds} rounds",
                            best=dist)
+
+
+def _paired(groups):
+    """(groups, rows_b) of one filter: each weight group as (w, plain shifts,
+    pairs (p0, b) standing for (p0, b) and (p0, -b)), and for each b that
+    pairs use, the least and greatest p0 of its pairs.  Only a b that at
+    least two pairs share gets a pair buffer."""
+    found = {w: [(p0, b) for p0, b in shifts if b > 0 and (p0, -b) in shifts]
+             for w, shifts in groups}
+    counts = Counter(b for pairs in found.values() for _, b in pairs)
+    out, rows_b = [], {}
+    for w, shifts in groups:
+        pairs = [(p0, b) for p0, b in found[w] if counts[b] > 1]
+        taken = {(p0, s * b) for p0, b in pairs for s in (1, -1)}
+        out.append((w, [p for p in shifts if p not in taken], pairs))
+        for p0, b in pairs:
+            lo, hi = rows_b.get(b, (p0, p0))
+            rows_b[b] = (min(lo, p0), max(hi, p0))
+    return out, rows_b
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +563,11 @@ def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
 
     With a ``cap``, values above it are +inf and all others exact.  Every
     voxel at or below the cap has an optimal path whose values all stay at or
-    below it (weights are positive and fl(a + w) >= a), and that path lies in
-    the box a path of length cap - min(seed) can reach from the seeds' bounding
-    box.  So only that box is relaxed, its non-seed voxels starting at the
-    float just above the cap, where no candidate above the cap can land.
+    below it (weights are positive and fl(a + w) >= a), and that path lies
+    within the reach of its seed y, a path of length cap - dist[y]
+    (`_reach_box`).  So only the box of those reaches is relaxed, its non-seed
+    voxels starting at the float just above the cap, where no candidate above
+    the cap can land.
     """
     occ = s.occupancy
     seeds, rest = (~occ, occ) if sign > 0 else (occ, ~occ)
@@ -542,8 +584,7 @@ def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
     if cap is None:
         _relax_to_fixpoint(dist, offs, w)
     else:
-        # the non-seed voxels are +inf, so the field's minimum is the seeds'
-        box = _reach_box(seeds, cap - dist.min(), offs, w)
+        box = _reach_box(dist, cap, offs, w)
         sub = dist[box]
         np.copyto(sub, np.nextafter(cap, np.inf), where=rest[box])
         _relax_to_fixpoint(sub, offs, w)
@@ -553,15 +594,22 @@ def _seeded_distance(s: VoxelSet, sign, dual, k, cap=None):
     return DistanceField(VoxelSet(s.origin, s.spacing, occ), dist, dual, k)
 
 
-def _reach_box(seeds, length, offs, w):
-    """Slices of the seeds' bounding box, widened on each axis by the voxels
-    a stencil path of the given length can cross along it (plus one)."""
-    reach = np.ceil(length * np.max(np.abs(offs) / w[:, None], axis=0))
-    reach = np.minimum(reach, max(seeds.shape))  # an infinite radius reaches the whole grid
+def _reach_box(dist, cap, offs, w):
+    """Slices of the box that holds every seed's reach: seed y (a finite
+    voxel; the others are +inf) widened on each axis by the voxels that a
+    stencil path of length cap - dist[y] crosses along it, plus one.
+
+    The pad grows with the length, so on each axis the lowest seed of each
+    slab sets that slab's pad, and the box is the union of the slabs' spans.
+    """
+    rate = np.max(np.abs(offs) / w[:, None], axis=0)
     box = []
-    for axis, (n, pad) in enumerate(zip(seeds.shape, reach.astype(int) + 1)):
-        hit = np.flatnonzero(seeds.any(axis=tuple(j for j in range(seeds.ndim) if j != axis)))
-        box.append(slice(max(hit[0] - pad, 0), min(hit[-1] + 1 + pad, n)))
+    for axis, n in enumerate(dist.shape):
+        low = dist.min(axis=tuple(j for j in range(dist.ndim) if j != axis))
+        hit = np.flatnonzero(low < np.inf)
+        # an infinite length reaches the whole grid
+        pad = np.minimum(np.ceil((cap - low[hit]) * rate[axis]), n).astype(int) + 1
+        box.append(slice(max(int(np.min(hit - pad)), 0), min(int(np.max(hit + 1 + pad)), n)))
     return tuple(box)
 
 
@@ -583,20 +631,24 @@ def erode(df: DistanceField, r) -> VoxelSet:
 def dilate(s: VoxelSet, dual: Norm, t, k=3) -> VoxelSet:
     """Minkowski dilation by the Wulff ball of radius t (distance from s <= t).
 
-    The result carries delta - t as its level function where delta <= t +
-    band (band = _BAND voxels) and +inf beyond, where a later seeding clips
-    the level to the band either way; the distance is relaxed only that far.
-    The level is written in place into the distance array, so the result
-    holds one float array, which a later seeding copies.
+    The distance is relaxed only up to t, so the occupancy holds no float
+    array.  The result's level function, delta - t where delta <= t + band
+    (band = _BAND voxels) and +inf beyond, where a later seeding clips the
+    level to the band either way, is built only when read or seeded: from a
+    second relaxation of s, up to t + band.
     """
     if not t >= 0:
         raise InvalidArgumentError("dilation radius must be nonnegative")
     if not s.occupancy.any():
         return VoxelSet(s.origin, s.spacing, s.occupancy.copy())
-    df = _seeded_distance(s, -1.0, dual, k, cap=t + _BAND * s.spacing)
-    occ = df.values <= t
-    out = VoxelSet(s.origin, s.spacing, occ, level=np.subtract(df.values, t, out=df.values))
+    out = VoxelSet(s.origin, s.spacing, _seeded_distance(s, -1.0, dual, k, cap=t).values <= t)
     out.check_margin(1)
+
+    def level():
+        delta = _seeded_distance(s, -1.0, dual, k, cap=t + _BAND * s.spacing).values
+        return np.subtract(delta, t, out=delta)
+
+    out._rebuild = level
     return out
 
 

@@ -133,25 +133,27 @@ class Norm:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, v):
-        v = _as_points(v, self.dim)
-        out = self._eval(np.atleast_2d(v))
-        return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])
+        out = self._batched(self._eval, v, ())
+        return float(out) if out.ndim == 0 else out
 
     __call__ = eval
 
     def grad(self, v):
-        v = _as_points(v, self.dim)
-        flat = v.reshape(-1, self.dim)
-        self._check_grad_domain(flat)
-        return self._grad(flat).reshape(v.shape)
+        return self._batched(self._grad, v, (self.dim,), check=True)
 
     def hess(self, v):
         if not self.smooth:
             raise UnsupportedOperationError(f"{self.family} norm has no Hessian")
+        return self._batched(self._hess, v, (self.dim, self.dim), check=True)
+
+    def _batched(self, kernel, v, tail, check=False):
+        """kernel on the (N, d) rows of points of shape (..., d), shaped back
+        to (...) + tail."""
         v = _as_points(v, self.dim)
         flat = v.reshape(-1, self.dim)
-        self._check_grad_domain(flat)
-        return self._hess(flat).reshape(v.shape + (self.dim,))
+        if check:
+            self._check_grad_domain(flat)
+        return kernel(flat).reshape(v.shape[:-1] + tail)
 
     def dual(self) -> "Norm":
         """The polar norm, built once; ``norm.dual().dual() is norm``."""

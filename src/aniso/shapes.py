@@ -26,7 +26,7 @@ from .errors import GeometryError, InvalidArgumentError
 from .mesh import TriSurface
 from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, parse_norm, tangent_basis,
                     unit_sphere_samples)
-from .wulff import WulffShape, _sphere_sample
+from .wulff import WulffShape, _sphere_sample, check_radius
 from .grid import Translate, Union
 
 
@@ -46,8 +46,9 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("wulff", "perturbed-wulff", "two-bubble", "tangent-union"):
             raise InvalidArgumentError(f"unknown shape kind {self.kind!r}")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise InvalidArgumentError(f"radius must be finite and positive, got {self.r!r}")
+        check_radius(self.norm, self.r)
+        if self.norm.dim == 3 and self.pattern not in (0, 1, 2, 3):
+            raise InvalidArgumentError(f"pattern index must be 0..3 in 3D, got {self.pattern!r}")
         if self.kind == "perturbed-wulff" and not (0.0 <= self.eps < 0.3):
             raise InvalidArgumentError("perturbation amplitude must satisfy 0 <= eps < 0.3")
         if self.kind == "two-bubble" and not (0.0 < self.neck_width < self.r / 2):
@@ -139,6 +140,21 @@ class PerturbedWulffSolid:
 
 # ---------------------------------------------------------------------------
 # two-bubble radial profile
+
+
+def _row_groups(rows):
+    """(first, inverse) of the distinct rows of a float array, rows compared
+    bit for bit (so -0.0 and 0.0 differ): the first row of each group, and
+    each row's group.  A stable lexsort of the rows' uint64 views, no float
+    comparison and no sort of row records."""
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 class _TwoBubbleProfile:
@@ -332,9 +348,7 @@ class _TwoBubbleProfile:
             return d
 
         # edge data per distinct (meridian, side)
-        _, first, inv = np.unique(np.column_stack([m, side]), axis=0,
-                                  return_index=True, return_inverse=True)
-        inv = inv.ravel()                  # numpy 2.0.0 returns a column here
+        first, inv = _row_groups(np.column_stack([m, side]))
         m_k, t_k = m[first], t_edge[first]
         dt = 1e-5
         edge = direction(np.concatenate([t_k, t_k + dt, t_k - dt]),

@@ -102,12 +102,30 @@ def _sphere_sample(dim, resolution=None):
 # Wulff shapes
 
 
+# Greatest extent r * max_i phi(e_i) of a Wulff ball along an axis.  Meshes,
+# volumes, perimeters and Monte Carlo boxes form sums of products of up to
+# 2 * dim coordinates (squared face normals in 3D): below 1e280 here, which
+# leaves room for sums over 2^20 mesh points.
+_MAX_EXTENT = {2: 1e70, 3: 1e45}
+
+
+def check_radius(norm: Norm, r):
+    """Raise InvalidArgumentError unless r is finite and positive and the
+    Wulff ball of radius r stays within _MAX_EXTENT along every axis."""
+    if not (np.isfinite(r) and r > 0):
+        raise InvalidArgumentError(f"radius must be finite and positive, got {r!r}")
+    extent = float(r) * float(np.max(norm.eval(np.eye(norm.dim))))
+    if not extent <= _MAX_EXTENT[norm.dim]:
+        raise InvalidArgumentError(
+            f"radius {r!r} is too large: its Wulff ball reaches {extent:.3g} along an axis, "
+            f"past {_MAX_EXTENT[norm.dim]:g}, beyond which its volume and perimeter overflow")
+
+
 class WulffShape:
     """The dual-norm ball of radius r for a given norm."""
 
     def __init__(self, norm: Norm, r=1.0):
-        if not (np.isfinite(r) and r > 0):
-            raise InvalidArgumentError(f"radius must be finite and positive, got {r!r}")
+        check_radius(norm, r)
         self.norm = norm
         self.r = float(r)
         self.dual = norm.dual()

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -60,6 +61,10 @@ class TestParseConfig:
     def test_bad_experiment_name(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config("experiment=explosion")
+
+
+# a 3D perturbation pattern outside 0..3 (in 2D any integer is a frequency)
+_PATTERN_3D = "shape=perturbed-wulff norm=ellipse:1,4,2 r=1.5 eps=0.1 pattern=9"
 
 
 class TestRun:
@@ -134,10 +139,11 @@ class TestRun:
         "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
         "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc",
         "norm=lp:1e300", "norm=lp:1.0000000000000002:2,1", "seed=-1",
-        "shape=tangent-union r=0.5 k=0"])
+        "shape=tangent-union r=0.5 k=0", _PATTERN_3D])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(f"experiment=erosion\ndim=2\n{line}\noutdir={tmp_path}/out\n")
+        dim = 3 if line == _PATTERN_3D else 2
+        cfg_path.write_text(f"experiment=erosion\ndim={dim}\n{line}\noutdir={tmp_path}/out\n")
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         assert line.split("=")[0] in capsys.readouterr().err
 
@@ -184,6 +190,18 @@ class TestRun:
             (tmp_path / "out" / "report.json").read_text())["reports"][0]["rows"]
         assert measured["tol"] == 1.0 and measured["passed"] is True
         assert condition["tol"] == 0.0 and condition["passed"] is False
+
+    def test_radius_whose_volume_overflows_exits_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text("experiment=wulff-identity\ndim=2\nshape=wulff r=1e300\n"
+                            f"outdir={tmp_path}/out\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: line 3: shape: radius 1e+300 is too large")
+        assert not (tmp_path / "out").exists()
 
     def test_radius_past_rbar_recorded(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -378,6 +396,18 @@ class TestWulffCommand:
         assert main(["wulff", "--norm", "euclidean", "--dim", "2", "--r", r,
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: radius must be finite and positive, got {r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim,r", [(2, "1e308"), (3, "1e110")])
+    def test_radius_whose_volume_overflows_exits_config(self, tmp_path, dim, r, capsys):
+        out = tmp_path / "w.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wulff", "--norm", "euclidean", "--dim", str(dim), "--r", r,
+                         "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: radius {float(r)!r} is too large") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("dim,spec,message", [

@@ -392,24 +392,46 @@ class TestSlabEngine:
         for g, w in zip(got, want):
             assert _same_bits(g, w)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_tied_weights_match_per_offset_sweep(self, dim, k):
-        # shifts with equal weights share one add; weights drawn from three
-        # values tie in no symmetric pattern, and the seeds hold -0.0 and -band
-        rng = np.random.default_rng(dim * 10 + k)
+    @staticmethod
+    def _assert_matches_per_offset_sweep(dim, k, seed, weights):
+        # the seeds hold -0.0 and -band; weights(offsets, rng) draws the weights
+        rng = np.random.default_rng(seed)
         shape = {2: (23, 29), 3: (9, 10, 11)}[dim]
         seeds = rng.random(shape) < 0.1
         dist = np.where(seeds, -rng.random(shape) * 0.3, np.inf)
         dist[seeds & (rng.random(shape) < 0.3)] = -0.0
         dist[seeds & (rng.random(shape) < 0.3)] = -0.3
         offs = stencil_offsets(dim, k)
-        w = rng.choice([1.0, 1.5, 2.0], size=len(offs))
+        w = weights(offs, rng)
         want = dist.copy()
         _per_offset_relax(want, offs, w)
         _relax_to_fixpoint(dist, offs, w)
         assert np.signbit(dist).sum() > 0
         assert _same_bits(dist, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tied_weights_match_per_offset_sweep(self, dim, k):
+        # shifts with equal weights share one add; weights drawn from three
+        # values tie in no symmetric pattern
+        self._assert_matches_per_offset_sweep(
+            dim, k, dim * 10 + k, lambda offs, rng: rng.choice([1.0, 1.5, 2.0], size=len(offs)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_symmetric_tied_weights_match_per_offset_sweep(self, dim, k):
+        # weights shared by each orbit of sign flips, as a symmetric norm has
+        # them, so the shifts (p0, b) and (p0, -b) of one group read a pair
+        # buffer; a fifth of the offsets then take another weight, which
+        # splits their pairs across groups
+        def weights(offs, rng):
+            orbit = np.unique(np.abs(offs), axis=0, return_inverse=True)[1].ravel()
+            w = rng.choice([1.0, 1.5, 2.0], size=orbit.max() + 1)[orbit]
+            odd = rng.random(len(offs)) < 0.2
+            w[odd] = rng.choice([1.0, 1.5, 2.0, 2.5], size=odd.sum())
+            return w
+
+        self._assert_matches_per_offset_sweep(dim, k, 100 + dim * 10 + k, weights)
 
     def test_many_round_field_matches(self):
         # cheap (1, +-2) steps zigzag across a strip three voxels wide, so each
@@ -627,7 +649,8 @@ def _dilation_cases(draw):
 
 
 class TestCappedDilation:
-    """dilate relaxes only up to t + 3h; below that it is the full field."""
+    """dilate relaxes only up to t, and its level, when read, up to t + 3h;
+    below that each is the full field."""
 
     @staticmethod
     def _assert_matches_full_field(vox, dual, t, k):
@@ -641,6 +664,7 @@ class TestCappedDilation:
                 dilate(vox, dual, t, k=k)
             return
         got = dilate(vox, dual, t, k=k)
+        assert got._level is None
         assert np.array_equal(got.occupancy, want)
         assert np.array_equal(got.level,
                               np.where(vals <= t + 3 * vox.spacing, vals - t, np.inf))
@@ -669,9 +693,38 @@ class TestCappedDilation:
         assert np.isfinite(got.level[21, 11]) and np.isinf(got.level[22, 11])
         self._assert_matches_full_field(vox, dual, 1.2 * h, 3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_dilation_cases(), st.sampled_from([0.0, 1.0, 3.0]))
+    def test_reach_box_holds_every_voxel_below_the_cap(self, case, band):
+        # each seed widened by its own reach, not by the lowest seed's
+        vox, dual, t, k = case
+        occ = vox.occupancy
+        assume(occ.any())
+        cap = t + band * vox.spacing
+        offs = stencil_offsets(vox.dim, k)
+        w = dual.eval(offs * vox.spacing)
+        seed = 0.0 if vox.level is None else -np.clip(-vox.level, 0.0, 3 * vox.spacing)
+        start = np.where(occ, seed, np.inf)
+        box = grid._reach_box(start, cap, offs, w)
+        assert box == _seed_reach_box(occ, start, cap, offs, w)
+        below = grid._seeded_distance(vox, -1.0, dual, k).values <= cap
+        below[box] = False
+        assert not below.any()
+
     def test_nan_radius_rejected(self, ball2d):
         with pytest.raises(InvalidArgumentError):
             dilate(ball2d[1], EuclideanNorm(2).dual(), float("nan"))
+
+
+def _seed_reach_box(seeds, dist, cap, offs, w):
+    """The union of the boxes y +- (ceil((cap - dist[y]) * rate) + 1) over the
+    seeds y, clipped to the grid, rate the voxels per unit length per axis."""
+    rate = np.max(np.abs(offs) / w[:, None], axis=0)
+    ys = np.argwhere(seeds)
+    pad = np.minimum(np.ceil((cap - dist[seeds])[:, None] * rate), seeds.shape).astype(int) + 1
+    lo = np.maximum(np.min(ys - pad, axis=0), 0)
+    hi = np.minimum(np.max(ys + 1 + pad, axis=0), seeds.shape)
+    return tuple(slice(a, b) for a, b in zip(lo, hi))
 
 
 def _gather_seeded(vox, sign, dual, k, cap=None):
@@ -686,7 +739,7 @@ def _gather_seeded(vox, sign, dual, k, cap=None):
         start = dist.copy()
         _relax_to_fixpoint(dist, offs, w)
     else:
-        box = grid._reach_box(seeds, cap - dist[seeds].min(), offs, w)
+        box = _seed_reach_box(seeds, dist, cap, offs, w)
         sub = dist[box]
         sub[~seeds[box]] = np.nextafter(cap, np.inf)
         start = sub.copy()
@@ -740,7 +793,10 @@ class TestInPlaceSeeding:
                 assert np.array_equal(_bits(starts.pop()), _bits(start))
                 assert np.array_equal(_bits(df.values), _bits(want))
             if vox.occupancy.any():
+                # the occupancy relaxes each seed's reach up to t, the level
+                # (when read) up to t + 3h
                 t = t_voxels * vox.spacing
+                start_occ, _ = _gather_seeded(vox, -1.0, dual, k, cap=t)
                 start, want = _gather_seeded(vox, -1.0, dual, k, cap=t + 3 * vox.spacing)
                 try:
                     VoxelSet(vox.origin, vox.spacing, want <= t).check_margin(1)
@@ -749,9 +805,10 @@ class TestInPlaceSeeding:
                         dilate(vox, dual, t, k=k)
                     return
                 got = dilate(vox, dual, t, k=k)
-                assert np.array_equal(_bits(starts.pop()), _bits(start))
+                assert np.array_equal(_bits(starts.pop()), _bits(start_occ))
                 assert np.array_equal(got.occupancy, want <= t)
                 assert np.array_equal(_bits(got.level), _bits(want - t))
+                assert np.array_equal(_bits(starts.pop()), _bits(start))
 
 
 class TestLevelOwnership:

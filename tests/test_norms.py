@@ -640,3 +640,32 @@ class TestEllipseBatchIndependence:
             assert np.array_equal(batch, [phi.eval(p) for p in v])
             assert np.array_equal(batch[:2], phi.eval(v[:2]))
             assert np.array_equal(phi.eval(v.reshape(20, 25, dim)), batch.reshape(20, 25))
+
+
+class TestLeadingShapes:
+    """eval, grad and hess take points of shape (..., d) with any leading
+    shape, and give each point its value in a flat batch of the same points."""
+
+    @pytest.mark.parametrize("dim,spec", [(2, s) for s in ALL_SPECS_2D]
+                             + [(3, s) for s in ALL_SPECS_3D])
+    def test_every_family_polar_and_numeric_dual(self, dim, spec):
+        base = parse_norm(spec, dim)
+        norms = [base, base.dual()] + ([DualNorm(base)] if base.smooth else [])
+        rng = np.random.default_rng(dim)
+        for norm in norms:
+            for lead in [(), (3,), (2, 3)]:
+                v = rng.normal(size=lead + (dim,))
+                flat = v.reshape(-1, dim)
+                val = norm.eval(v)
+                if lead:
+                    assert val.shape == lead
+                    assert np.array_equal(val, norm.eval(flat).reshape(lead))
+                else:
+                    assert isinstance(val, float) and val == norm.eval(flat)[0]
+                grad = norm.grad(v)
+                assert grad.shape == lead + (dim,)
+                assert np.array_equal(grad, norm.grad(flat).reshape(grad.shape))
+                if norm.smooth:
+                    hess = norm.hess(v)
+                    assert hess.shape == lead + (dim, dim)
+                    assert np.array_equal(hess, norm.hess(flat).reshape(hess.shape))

@@ -20,8 +20,10 @@ from aniso import (
     parse_shape,
 )
 from aniso.norms import Norm, WeightedLpNorm, parse_norm, unit_sphere_samples
+from aniso import shapes
 from aniso.shapes import (
     TwoBubbleSolid,
+    _row_groups,
     _TwoBubbleProfile,
     _wulff_ball_perimeter,
     perturbation_pattern,
@@ -510,6 +512,40 @@ class TestTwoBubbleProfileReference:
         ref = 2 * p_ball + _band_correction_two_calls(p, n_band)
         assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(
             ref, rel=1e-9)
+
+
+def _unique_groups(rows):
+    """(first, inverse) of np.unique over the rows, as two-bubble edge rays
+    were keyed before the lexsort."""
+    _, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inv.ravel()
+
+
+class TestEdgeKeys:
+    """Edge rays keyed by a lexsort of the (meridian, side) rows' bits."""
+
+    def test_groups_equal_np_unique(self):
+        rows = np.random.default_rng(3).choice([-1.5, 0.25, 1.0, 2.0], size=(500, 4))
+        first, inv = _row_groups(rows)
+        want_first, want_inv = _unique_groups(rows)
+        assert len(first) == len(want_first) < 256
+        # each row's group starts at the same row
+        assert np.array_equal(first[inv], want_first[want_inv])
+
+    def test_signed_zeros_stay_apart(self):
+        first, inv = _row_groups(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))
+        assert np.array_equal(first[inv], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
+    def test_radii_equal_those_of_np_unique_keys(self, dim, spec, monkeypatch):
+        p = TestTwoBubbleProfileReference._profile(dim, spec)
+        u = np.concatenate([TestTwoBubbleProfileReference._rays(p),
+                            unit_sphere_samples(dim, 4096)])
+        got = p._radii(u)
+        monkeypatch.setattr(shapes, "_row_groups", _unique_groups)
+        want = p._radii(u)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestBallExitProperty:
