@@ -32,7 +32,7 @@ from .errors import (
 )
 from .grid import VoxelSet, distance_transform
 from .norms import Norm, parse_norm
-from .shapes import ShapeSpec, norm_sequence, parse_shape
+from .shapes import ShapeSpec, check_union_budget, norm_sequence, parse_shape
 from .verify import (
     PowerLawFit,
     VerificationReport,
@@ -46,7 +46,7 @@ from .verify import (
     plot_sequence,
     run_bubbling,
 )
-from .wulff import WulffShape, check_resolution, polygon_svg
+from .wulff import WulffShape, mesh_resolution, polygon_svg
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -159,8 +159,8 @@ def parse_config(text) -> RunConfig:
     # values that are checked only under dim (and the shape also under norm)
     for key, check in (("norm", cfg.norm_obj),
                        ("sequence", lambda: norm_sequence(cfg.sequence, 1, cfg.dim)),
-                       ("shape", cfg.shape_spec),
-                       ("resolution", lambda: check_resolution(cfg.dim, cfg.resolution)),
+                       ("resolution", lambda: mesh_resolution(cfg.dim, cfg.resolution)),
+                       ("shape", lambda: check_union_budget(cfg.shape_spec(), cfg.resolution)),
                        ("hsteps", lambda: check_bubbling_steps(
                            cfg.sequence, cfg.hsteps, cfg.bubbling_base(), cfg.dim))):
         if key in lines:
@@ -313,11 +313,10 @@ def _cmd_wulff(args):
     try:
         if args.svg and args.dim != 2:
             raise InvalidArgumentError("SVG export is for 2D boundaries")
-        if args.resolution is not None:
-            try:
-                check_resolution(args.dim, args.resolution)
-            except InvalidArgumentError as exc:
-                raise InvalidArgumentError(f"--resolution: {exc}") from None
+        try:
+            mesh_resolution(args.dim, args.resolution)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"--resolution: {exc}") from None
         norm = parse_norm(args.norm, args.dim)
         w = WulffShape(norm, args.r)
         if w.is_crystalline:

@@ -53,6 +53,10 @@ class VoxelBudgetError(InvalidArgumentError):
     """A raster would have more voxels than the budget allows."""
 
 
+class MeshBudgetError(InvalidArgumentError):
+    """A generated mesh would have more vertices than the budget allows."""
+
+
 class ResolutionError(InvalidArgumentError):
     """A grid spacing is too coarse to resolve the shape it measures."""
 

@@ -63,7 +63,8 @@ def _newton(residual, x0, target, what):
     of the target, and takes that step too, so its result depends only on its
     own input, not on the batch it shares.  Stopped points are dropped from
     the working set only once fewer than half of it still runs.  Raises
-    ConvergenceError after 64 steps.
+    ConvergenceError after 64 steps.  Its users: `SmoothedMaxNorm._solve_sigma`,
+    `_SmoothedMaxPolar._maximizer` and `shapes._TwoBubbleProfile._newton_exit`.
     """
     tol = 1e-14 * max(1.0, abs(target))
     x = np.array(x0, dtype=float)
@@ -84,6 +85,20 @@ def _newton(residual, x0, target, what):
             run = np.ones(left, dtype=bool)
     raise ConvergenceError(f"{what} Newton solve did not converge in 64 steps",
                            best=x, gap=float(np.max(np.abs(f[run]))))
+
+
+def _bordered_solve(a, col, row, top, bottom=0.0):
+    """The (N, d + 1, k) solutions z of the bordered (KKT) systems [[a, col], [row, 0]]
+    z = [top; bottom]: a (N, d, d), col and row (N, d), top and bottom broadcast."""
+    n, d = col.shape
+    big = np.zeros((n, d + 1, d + 1))
+    big[:, :d, :d] = a
+    big[:, :d, d] = col
+    big[:, d, :d] = row
+    rhs = np.zeros((n, d + 1, np.shape(top)[-1]))
+    rhs[:, :d] = top
+    rhs[:, d] = bottom
+    return np.linalg.solve(big, rhs)
 
 
 # columns per block of a smoothmax solve: a block's working arrays stay
@@ -113,6 +128,15 @@ def _fold(op, rows):
     out = op(rows[0], rows[1])
     for row in rows[2:]:
         op(out, row, out=out)
+    return out
+
+
+def _off_origin(value, v):
+    """value of the contiguous (d, n) rows of v's points off the origin; 0 there."""
+    out = np.zeros(v.shape[:-1])
+    nz = _fold(np.maximum, np.abs(v.T)) > 0.0
+    if np.any(nz):
+        out[nz] = value(np.ascontiguousarray(v.T[:, nz]))
     return out
 
 
@@ -236,6 +260,10 @@ class EllipseNorm(Norm):
             raise InvalidArgumentError("Q must be positive definite") from exc
         self.Q = 0.5 * (Q + Q.T)
         self.Q_inv = np.linalg.inv(self.Q)
+        if not np.all(np.isfinite(self.Q_inv)):
+            raise InvalidArgumentError(
+                f"ellipse entries {', '.join(repr(float(x)) for x in Q.reshape(-1))} have no "
+                "representable polar: the inverse of Q overflows")
 
     def _eval(self, v):
         # v^T Q v as a sum of (v_i Q_ij) v_j in row-major order, which is what
@@ -387,11 +415,7 @@ class SmoothedMaxNorm(Norm):
         return _newton(residual, target * eps / m, target, "smoothmax gauge")
 
     def _eval(self, v):
-        out = np.zeros(v.shape[:-1])
-        nz = _fold(np.maximum, np.abs(v.T)) > 0.0
-        if np.any(nz):
-            out[nz] = 1.0 / _by_blocks(self._solve_sigma, np.ascontiguousarray(v.T[:, nz]))
-        return out
+        return _off_origin(lambda vt: 1.0 / _by_blocks(self._solve_sigma, vt), v)
 
     def _g_grad_rows(self, ut):
         # gradient of g at coordinate rows ut near the gauge sphere, and the
@@ -494,12 +518,7 @@ class _SmoothedMaxPolar(Norm):
         return _by_blocks(self._maximizer, u.T.copy()).T.copy()
 
     def _eval(self, v):
-        out = np.zeros(v.shape[:-1])
-        nz = _fold(np.maximum, np.abs(v.T)) > 0.0
-        if np.any(nz):
-            ut = np.ascontiguousarray(v.T[:, nz])
-            out[nz] = _fold(np.add, ut * _by_blocks(self._maximizer, ut))
-        return out
+        return _off_origin(lambda ut: _fold(np.add, ut * _by_blocks(self._maximizer, ut)), v)
 
     def _hess(self, v):
         # implicit differentiation of the maximizer x(u):
@@ -507,15 +526,7 @@ class _SmoothedMaxPolar(Norm):
         x = self._grad(v)
         g, hg = self.base._g_grad_hess(x)
         mu = np.linalg.norm(g, axis=-1) / np.linalg.norm(v, axis=-1)
-        n, d = v.shape
-        big = np.zeros((n, d + 1, d + 1))
-        big[:, :d, :d] = hg
-        big[:, :d, d] = -v
-        big[:, d, :d] = g
-        rhs = np.zeros((n, d + 1, d))
-        rhs[:, :d, :] = mu[:, None, None] * np.eye(d)
-        sol = np.linalg.solve(big, rhs)
-        return sol[:, :d, :]
+        return _bordered_solve(hg, -v, g, mu[:, None, None] * np.eye(self.dim))[:, :-1]
 
     def _dual_partner(self):
         return self.base
@@ -650,15 +661,7 @@ class DualNorm(Norm):
         mu, vstar = self._maximize(v, check_unique=True)
         h = self.base._hess(vstar)
         g = self.base._grad(vstar)
-        n, d = v.shape
-        big = np.zeros((n, d + 1, d + 1))
-        big[:, :d, :d] = mu[:, None, None] * h
-        big[:, :d, d] = g
-        big[:, d, :d] = g
-        rhs = np.zeros((n, d + 1, d))
-        rhs[:, :d, :] = np.eye(d)
-        sol = np.linalg.solve(big, rhs)
-        return sol[:, :d, :]
+        return _bordered_solve(mu[:, None, None] * h, g, g, np.eye(self.dim))[:, :-1]
 
     def dual(self):
         return self.base
@@ -709,13 +712,10 @@ class DualNorm(Norm):
                 h = base._hess(vv)
             except SingularPointError:
                 h = _central_hess(base, vv)
-            big = np.zeros((len(vv), d + 1, d + 1))
-            big[:, :d, :d] = mm[:, None, None] * h
-            big[:, :d, d] = g
-            big[:, d, :d] = g
-            rhs = np.concatenate([uu[rows] - mm[:, None] * g, 1.0 - base._eval(vv)[:, None]],
-                                 axis=-1)
-            return np.linalg.solve(big, rhs[..., None])[..., 0], rhs
+            res = uu[rows] - mm[:, None] * g
+            delta = _bordered_solve(mm[:, None, None] * h, g, g, res[..., None],
+                                    (1.0 - base._eval(vv))[:, None])
+            return delta[..., 0], res
 
         fnorm = kkt_norm(v, mu)
         for _ in range(40):
@@ -756,11 +756,11 @@ class DualNorm(Norm):
             dec = np.full(stiff.size, np.inf)
             for _ in range(60):
                 try:
-                    delta, rhs = newton_step(stiff, vk, valk)
+                    delta, res = newton_step(stiff, vk, valk)
                 except np.linalg.LinAlgError:
                     break
                 dv = delta[:, :d]
-                dec = np.abs(np.sum(dv * rhs[:, :d], axis=-1))
+                dec = np.abs(np.sum(dv * res, axis=-1))
                 moved = np.zeros(stiff.size, dtype=bool)
                 step = np.ones(stiff.size)
                 for _bt in range(40):

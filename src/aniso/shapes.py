@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, InvalidArgumentError
+from .errors import ConvergenceError, GeometryError, InvalidArgumentError, MeshBudgetError
 from .mesh import TriSurface
-from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, parse_norm, tangent_basis,
+from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, _newton, parse_norm, tangent_basis,
                     unit_sphere_samples)
-from .wulff import WulffShape, _sphere_sample, check_radius
+from .wulff import WulffShape, _sphere_sample, check_radius, sphere_vertex_count
 from .grid import Translate, Union
 
 
@@ -217,51 +217,39 @@ class _TwoBubbleProfile:
         maximizer solve gives both f = <y, x> - level and f' = <x, u>.  f is
         convex with f(0) < 0, so Newton from any t with f(t) >= 0 falls
         monotonically to the exit (Dinkelbach, "On nonlinear fractional
-        programming", 1967).  A ray starts at min(t_max, t_q), with t_q the
-        positive root of f's quadratic model about 0 (`_newton_start`).  From
-        a start left of the exit (f < 0) on a rising slope, the first step
-        lands right of the exit, f being convex, and is clipped to t_max; a
-        start on a slope that is not rising begins again from t_max.  A ray
-        stops once its step is at most a quarter of the bisection quantum q,
-        or not positive (only rounding puts an iterate left of the root).  Its
-        margin, max(1.25 q, 1e-14 r / slope), holds the bisection's final
-        bracket ends, within q of the exit, and the band in which rounding of
-        phi_polar (a few ulp of r) can flip the sign of f.  Rays that do not
-        converge in 64 steps or meet a slope that is not positive, and every
-        ray of a dual without a gradient everywhere, keep margin inf: their
-        bisection is unguided.
+        programming", 1967).  f and f' are taken once at `_newton_start`'s
+        point: a ray on a rising slope takes that Newton step, which lands
+        right of the exit, f being convex, and is clipped to t_max; any other
+        ray starts at t_max.  `norms._newton` then runs every ray from there.
+        A ray's margin, max(1.25 q, 1e-14 r / slope) with q the bisection
+        quantum and slope its last one, holds the bisection's final bracket
+        ends, within q of the exit, and the band in which rounding of
+        phi_polar (a few ulp of r) can flip the sign of f.  If the solve does
+        not converge, every ray of the call, like every ray of a dual without
+        a gradient everywhere, keeps margin inf: its bisection is unguided.
         """
         n = len(u)
-        root = np.zeros(n)
         margin = np.full(n, np.inf)
         if not self.dual.smooth:
-            return root, margin
-        q = t_max * 2.0**-46
-        t = self._newton_start(u, c, level, t_max)
-        active = np.arange(n)
-        for k in range(64):
-            ua = u[active]
-            y = t[active, None] * ua - c
+            return np.zeros(n), margin
+        slope = np.empty(n)
+
+        def residual(t, idx):
+            ui = u[idx]
+            y = t[:, None] * ui - c
             x = self.dual.grad(y)
-            slope = np.sum(x * ua, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (np.sum(y * x, axis=-1) - level) / slope
-            t[active] -= step
-            rising = slope > 0
-            done = rising & (step <= 0.25 * q)
-            keep = rising & ~done & np.isfinite(step)
-            if k == 0:
-                # a negative step on a rising slope starts left of the exit
-                left = ~rising | (step < 0)
-                t[active[left]] = np.where(rising[left], np.fmin(t[active[left]], t_max), t_max)
-                done &= ~left
-                keep |= left
-            root[active[done]] = t[active[done]]
-            margin[active[done]] = np.maximum(1.25 * q, 1e-14 * self.r / slope[done])
-            active = active[keep]
-            if active.size == 0:
-                break
-        return root, margin
+            slope[idx] = s = np.sum(x * ui, axis=-1)
+            return np.sum(y * x, axis=-1), s
+
+        t = self._newton_start(u, c, level, t_max)
+        f, s = residual(t, slice(None))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(s > 0, np.fmin(t - (f - level) / s, t_max), t_max)
+        try:
+            root = _newton(residual, t, level, "two-bubble ball exit")
+        except ConvergenceError:
+            return np.zeros(n), margin
+        return root, np.maximum(1.25 * t_max * 2.0**-46, 1e-14 * self.r / slope)
 
     def _newton_start(self, u, c, level, t_max):
         """min(t_max, t_q), with t_q the positive root of f's quadratic model
@@ -452,18 +440,11 @@ class _TwoBubbleProfile:
 
 def gen(spec: ShapeSpec, resolution=None) -> GeneratedShape:
     """Build the mesh and solid for a shape specification."""
-    kind = spec.kind
-    norm = spec.norm
-    if kind == "wulff":
-        w = WulffShape(norm, spec.r)
+    if spec.kind == "wulff":
+        w = WulffShape(spec.norm, spec.r)
         return GeneratedShape(spec, w.boundary_mesh(resolution=resolution), w)
-    if kind == "perturbed-wulff":
-        return _gen_perturbed(spec, resolution)
-    if kind == "two-bubble":
-        return _gen_two_bubble(spec, resolution)
-    if kind == "tangent-union":
-        return _gen_tangent_union(spec, resolution)
-    raise InvalidArgumentError(kind)
+    return {"perturbed-wulff": _gen_perturbed, "two-bubble": _gen_two_bubble,
+            "tangent-union": _gen_tangent_union}[spec.kind](spec, resolution)
 
 
 def _gen_perturbed(spec, resolution):
@@ -525,7 +506,25 @@ def _gen_two_bubble(spec, resolution):
                           meta={"centers": centers, "beta": profile.beta})
 
 
+# the most mesh vertices plus center pairs (each one checked) of a tangent union
+_MAX_UNION_SIZE = 2**21
+
+
+def check_union_budget(spec, resolution=None):
+    """Raise MeshBudgetError, building nothing, if a tangent union's mesh at
+    that resolution and its center pairs would exceed _MAX_UNION_SIZE."""
+    if spec.kind != "tangent-union":
+        return
+    k = spec.count if spec.centers is None else len(spec.centers)
+    vertices, pairs = k * sphere_vertex_count(spec.norm.dim, resolution), k * (k - 1) // 2
+    if vertices + pairs > _MAX_UNION_SIZE:
+        raise MeshBudgetError(
+            f"a tangent union of {k} balls has {vertices:,} mesh vertices and {pairs:,} center "
+            f"pairs, over the budget of {_MAX_UNION_SIZE:,}; use fewer balls or a coarser mesh")
+
+
 def _gen_tangent_union(spec, resolution):
+    check_union_budget(spec, resolution)
     norm, r = spec.norm, spec.r
     dual = norm.dual()
     if spec.centers is not None:
@@ -535,10 +534,9 @@ def _gen_tangent_union(spec, resolution):
         e1[0] = 1.0
         step = 2.0 * r * norm.grad(e1)
         centers = np.stack([k * step for k in range(spec.count)])
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if dual.eval(centers[i] - centers[j]) < 2 * r * (1 - 1e-12):
-                raise GeometryError("tangent-union centers closer than 2r in the dual norm")
+    for i, c in enumerate(centers[:-1]):
+        if np.any(dual.eval(centers[i + 1:] - c) < 2 * r * (1 - 1e-12)):
+            raise GeometryError("tangent-union centers closer than 2r in the dual norm")
     w = WulffShape(norm, r)
     base = w.boundary_mesh(resolution=resolution)
     verts = np.concatenate([base.vertices + c for c in centers])
@@ -631,21 +629,25 @@ def _axis_frame(axis, theta, psi=None):
     return u, t
 
 
-def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=400_000, n_band=(180, 256)):
+def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=None, n_band=None):
     """P(two-bubble) = 2 P(ball) + band correction, by direction quadrature.
 
     Outside the neck band the dumbbell boundary coincides with the two ball
     boundaries, so the band integral of (blend - union) is the only
-    correction to twice the one-ball perimeter.  The bands are (band, theta,
-    psi) grids of polar angle theta and azimuth psi about the axis: in 2D two
-    bands about theta = +-pi/2, of 4,096 angles each; in 3D one band about
-    pi/2.  Their rays and the probes at theta +- 1e-6 (and psi +- 1e-6) go
-    through one solve.
+    correction to twice the one-ball perimeter.  The ball term takes n_ball
+    directions (default 100,000 in 2D, 400,000 in 3D).  The bands are (band,
+    theta, psi) grids of polar angle theta and azimuth psi about the axis: in
+    2D two bands about theta = +-pi/2, of n_band = (n_theta,) angles each
+    (default (4096,)); in 3D one band about pi/2, n_band = (n_theta, n_psi)
+    (default (180, 256)).  Their rays and the probes at theta +- 1e-6 (and
+    psi +- 1e-6) go through one solve.
     """
     norm, dim, beta, d = profile.norm, profile.norm.dim, profile.beta, 1e-6
+    n_ball = {2: 100_000, 3: 400_000}[dim] if n_ball is None else n_ball
+    n_band = {2: (4096,), 3: (180, 256)}[dim] if n_band is None else n_band
     if dim == 2:
-        n_ball, psi, dpsi = 100_000, None, 1.0
-        theta = np.stack([np.linspace(c - beta, c + beta, 4096)
+        psi, dpsi = None, 1.0
+        theta = np.stack([np.linspace(c - beta, c + beta, n_band[0])
                           for c in (np.pi / 2, -np.pi / 2)])[..., None]
         probes = [(theta, psi), (theta + d, psi), (theta - d, psi)]
     else:
@@ -727,17 +729,11 @@ def parse_shape(text, dim, default_norm=None) -> ShapeSpec:
     if norm is None:
         raise InvalidArgumentError("shape specification needs a norm")
     args = {"kind": kind, "norm": norm}
+    fields = {"r": ("r", float), "eps": ("eps", float), "pattern": ("pattern", int),
+              "neck": ("neck_width", float), "k": ("count", int)}
     for key, val in kw.items():
-        if key == "r":
-            args["r"] = float(val)
-        elif key == "eps":
-            args["eps"] = float(val)
-        elif key == "pattern":
-            args["pattern"] = int(val)
-        elif key == "neck":
-            args["neck_width"] = float(val)
-        elif key == "k":
-            args["count"] = int(val)
-        else:
+        if key not in fields:
             raise InvalidArgumentError(f"unknown shape key {key!r}")
+        name, convert = fields[key]
+        args[name] = convert(val)
     return ShapeSpec(**args)

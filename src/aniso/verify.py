@@ -65,7 +65,8 @@ from .shapes import (
     perturbed_wulff_perimeter,
     two_bubble_perimeter,
 )
-from .wulff import _RESOLUTIONS, WulffShape, crystalline_polytope, monte_carlo_volume
+from .wulff import (_RESOLUTIONS, WulffShape, crystalline_polytope, mesh_resolution,
+                    monte_carlo_volume)
 
 
 # erosion depths rbar - frac * rbar at which run_bubbling counts bubbles
@@ -202,10 +203,6 @@ def fit_power_law(gaps, values) -> PowerLawFit:
 # shared measurement helpers
 
 
-def _mesh_resolution(dim, resolution):
-    return _RESOLUTIONS[dim][1] if resolution is None else resolution
-
-
 def _coarser(resolution, dim):
     """The Richardson partner mesh: one subdivision level down in 3D, half the
     points in 2D, at least the least resolution, never finer than the mesh."""
@@ -221,7 +218,7 @@ def _surface_stats(spec: ShapeSpec, resolution):
     comes from the finer mesh.
     """
     norm = spec.norm
-    resolution = _mesh_resolution(norm.dim, resolution)
+    resolution = mesh_resolution(norm.dim, resolution)
     g = gen(spec, resolution=resolution)
     mesh = g.mesh
     n = mesh.n
@@ -265,7 +262,7 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
         rep.extras["volume"] = vol
         rep.extras["perimeter"] = per
     else:
-        mesh = w.boundary_mesh(resolution=_mesh_resolution(dim, resolution))
+        mesh = w.boundary_mesh(resolution=resolution)
         vol = enclosed_volume(mesh)
         per = aniso_area(mesh, norm)
         tol = DEFAULTS[dim]["tol_identity"]
@@ -407,7 +404,7 @@ def check_disintegration(shape: ShapeSpec, resolution=None, spacing=None,
     norm = shape.norm
     dim = norm.dim
     n = dim - 1
-    g = gen(shape, resolution=_mesh_resolution(dim, resolution))
+    g = gen(shape, resolution=resolution)
     mesh = g.mesh
     rep = VerificationReport(
         "disintegration",
@@ -516,7 +513,7 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
     for h in h_list:
         spec_h = _bubbling_member(base_spec, seq_kind, h)
         norm_h = spec_h.norm
-        g = gen(spec_h, resolution=_mesh_resolution(dim, resolution))
+        g = gen(spec_h, resolution=resolution)
         f = curvature(g.mesh, norm_h)
         dev_h = lp_deviation(f, g.mesh, lam, p=n)
         df = _field(g.solid, norm_h, spacing, stencil_order, margin=3)

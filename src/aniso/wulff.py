@@ -78,23 +78,29 @@ def closed_loop_faces(count):
 _RESOLUTIONS = {2: (3, 2048, 2**20, "points"), 3: (0, 5, 8, "an icosphere level")}
 
 
-def check_resolution(dim, resolution):
-    """Raise InvalidArgumentError unless ``resolution`` is within the range of
-    its dimension: 3 to 2^20 points in 2D, level 0 to 8 in 3D."""
-    lo, _, hi, unit = _RESOLUTIONS[dim]
+def mesh_resolution(dim, resolution=None):
+    """``resolution``, or its dimension's default for None, as an int; raises
+    InvalidArgumentError unless it is within the range of its dimension: 3 to
+    2^20 points in 2D, level 0 to 8 in 3D."""
+    lo, default, hi, unit = _RESOLUTIONS[dim]
+    resolution = default if resolution is None else resolution
     if not lo <= resolution <= hi:
         raise InvalidArgumentError(
             f"mesh resolution must be {lo} to {hi} ({unit}) in {dim}D, got {resolution}")
+    return int(resolution)
+
+
+def sphere_vertex_count(dim, resolution=None):
+    """The number of directions of `_sphere_sample(dim, resolution)`, unbuilt."""
+    n = mesh_resolution(dim, resolution)
+    return 10 * 4**n + 2 if dim == 3 else n
 
 
 def _sphere_sample(dim, resolution=None):
     """Unit directions and faces of a closed sphere mesh: ``resolution``
     points on the circle in 2D (default 2,048), an icosphere of that
     subdivision level in 3D (default 5), as `_RESOLUTIONS` holds them."""
-    if resolution is None:
-        resolution = _RESOLUTIONS[dim][1]
-    check_resolution(dim, resolution)
-    n = int(resolution)
+    n = mesh_resolution(dim, resolution)
     return icosphere(n) if dim == 3 else (circle_points(n), closed_loop_faces(n))
 
 
@@ -350,18 +356,12 @@ def polygon_svg(surfaces, path, labels=None):
 
 
 def _loop_order(s):
+    """The closed loops of a 2D surface's edges, each from its first listed vertex."""
     nxt = {int(a): int(b) for a, b in s.faces}
-    seen = set()
     loops = []
-    for start in nxt:
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
+    while nxt:
+        loop = [next(iter(nxt))]
+        while (cur := nxt.pop(loop[-1])) != loop[0]:
             loop.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
         loops.append(np.array(loop, dtype=np.int64))
     return loops

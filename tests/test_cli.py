@@ -139,7 +139,7 @@ class TestRun:
         "sequence=foo", "hsteps=0,1", "seed=x", "spacing=abc", "hsteps=a", "resolution=2.5",
         "tol=", "shape=wulff r=nan", "shape=wulff r=inf", "shape=wulff r=abc",
         "norm=lp:1e300", "norm=lp:1.0000000000000002:2,1", "seed=-1",
-        "shape=tangent-union r=0.5 k=0", _PATTERN_3D])
+        "shape=tangent-union r=0.5 k=0", "norm=ellipse:1,1e-320", _PATTERN_3D])
     def test_bad_value_exits_config(self, tmp_path, line, capsys):
         cfg_path = tmp_path / "bad.cfg"
         dim = 3 if line == _PATTERN_3D else 2
@@ -160,6 +160,25 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: line 3: resolution: mesh resolution must be")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim,resolution,k", [(2, None, 100_000), (2, 3, 100_000),
+                                                  (2, None, 1024), (3, 8, 4)])
+    def test_tangent_union_over_budget_exits_config(self, tmp_path, dim, resolution, k,
+                                                    capsys, monkeypatch):
+        # its mesh vertices plus center pairs, counted before any mesh is built
+        _forbid_sphere_meshes(monkeypatch)
+        cfg_path = tmp_path / "bad.cfg"
+        res = "" if resolution is None else f"resolution={resolution}\n"
+        cfg_path.write_text(f"experiment=erosion\ndim={dim}\n{res}"
+                            f"shape=tangent-union r=0.5 k={k}\noutdir={tmp_path}/out\n")
+        t0 = time.perf_counter()
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 10.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: line {3 if resolution is None else 4}: shape: "
+                                 f"a tangent union of {k} balls has")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dim,resolution", [(2, 3), (2, 2**20), (3, 0), (3, 8)])

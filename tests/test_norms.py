@@ -377,6 +377,7 @@ class TestGrammar:
         ("lp:2:1,0", "lp weights must be finite and positive, got 0.0"),
         ("ellipse:1,nan", "ellipse entries must be finite, got nan"),
         ("ellipse:1,0,inf", "ellipse entries must be finite, got inf"),
+        ("ellipse:1,1e-320", "ellipse entries 1.0, 0.0, 0.0, 1e-320 have no representable polar"),
         ("smoothmax:nan", "smoothmax requires 0 < eps <= 0.5, got nan")])
     def test_bad_entries_named(self, spec, message):
         with pytest.raises(InvalidArgumentError) as info:

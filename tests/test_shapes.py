@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aniso import (
+    ConvergenceError,
     EllipseNorm,
     EuclideanNorm,
     GeometryError,
@@ -19,8 +20,9 @@ from aniso import (
     norm_sequence,
     parse_shape,
 )
+from aniso.errors import MeshBudgetError
 from aniso.norms import Norm, WeightedLpNorm, parse_norm, unit_sphere_samples
-from aniso import shapes
+from aniso import shapes, wulff
 from aniso.shapes import (
     TwoBubbleSolid,
     _row_groups,
@@ -121,6 +123,17 @@ class TestGenerators:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert dual.eval(c[i] - c[j]) >= 2.0 - 1e-12
+
+    def test_tangent_union_budget_counts_vertices_and_pairs(self, monkeypatch):
+        # 2D at resolution 3: k balls have 3k vertices and k(k - 1)/2 center
+        # pairs, within 2^21 up to k = 2045; refused before any mesh is built
+        norm = EuclideanNorm(2)
+        shapes.check_union_budget(ShapeSpec("tangent-union", norm, count=2045), 3)
+        monkeypatch.setattr(wulff, "circle_points", None)
+        with pytest.raises(MeshBudgetError, match="2046 balls has 6,138 mesh vertices"):
+            gen(ShapeSpec("tangent-union", norm, count=2046), resolution=3)
+        with pytest.raises(MeshBudgetError):
+            gen(ShapeSpec("tangent-union", norm, count=1024))  # 2,048 vertices per ball
 
     def test_tangent_union_rejects_close_centers(self):
         with pytest.raises(GeometryError):
@@ -277,7 +290,7 @@ def _band_correction_two_calls(p, n_band):
 
         corr = 0.0
         for center in (np.pi / 2, -np.pi / 2):
-            alpha = np.linspace(center - p.beta, center + p.beta, 4096)
+            alpha = np.linspace(center - p.beta, center + p.beta, n_band[0])
             u = rot(alpha)
             t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
 
@@ -504,14 +517,21 @@ class TestTwoBubbleProfileReference:
             radial_perimeter(norm, lambda u: 1.3 / dual.eval(u), n_dirs=n_dirs), rel=1e-12)
 
     @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
-    def test_perimeter_matches_two_call_composition(self, dim, spec):
+    def test_perimeter_matches_two_call_composition(self, dim, spec, monkeypatch):
         p = self._profile(dim, spec)
-        n_ball, n_band = 20_000, (40, 32)
-        p_ball = radial_perimeter(p.norm, lambda u: p.r / p.dual.eval(u),
-                                  n_dirs=n_ball if dim == 3 else 100_000)
+        n_ball, n_band = 20_000, (40, 32)[:dim - 1]
+        p_ball = radial_perimeter(p.norm, lambda u: p.r / p.dual.eval(u), n_dirs=n_ball)
         ref = 2 * p_ball + _band_correction_two_calls(p, n_band)
+        ball_dirs = []
+
+        def ball_term(dual, r, n_dirs):
+            ball_dirs.append(n_dirs)
+            return _wulff_ball_perimeter(dual, r, n_dirs)
+
+        monkeypatch.setattr(shapes, "_wulff_ball_perimeter", ball_term)
         assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(
             ref, rel=1e-9)
+        assert ball_dirs == [n_ball]
 
 
 def _unique_groups(rows):
@@ -596,6 +616,26 @@ class TestGuidedBallExit:
         for sign in (1.0, -1.0):
             plain, _ = p._bisect(u, sign * p.center_offset, level, t_max, np.zeros(len(u)),
                                  np.inf)
+            assert np.array_equal(p._ball_exit(u, sign).view(np.uint64), plain.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unconverged_newton_falls_back_to_the_unguided_bisection(self, dim, monkeypatch):
+        # a Newton solve that does not converge leaves every ray of its call
+        # unguided: the radii are still the plain bisection's, as uint64
+        p = _TwoBubbleProfile(SmoothedMaxNorm(dim, 0.125), 1.0, 0.3)
+        u = TestTwoBubbleProfileReference._rays(p)
+        level, t_max = p.r * (1 + 1e-13), 2.0 * p.radial_bound
+
+        def unconverged(residual, x0, target, what):
+            residual(x0, slice(None))
+            raise ConvergenceError(f"{what} Newton solve did not converge in 64 steps")
+
+        monkeypatch.setattr(shapes, "_newton", unconverged)
+        for sign in (1.0, -1.0):
+            c = sign * p.center_offset
+            root, margin = p._newton_exit(u, c, level, t_max)
+            assert np.all(margin == np.inf)
+            plain, _ = p._bisect(u, c, level, t_max, np.zeros(len(u)), np.inf)
             assert np.array_equal(p._ball_exit(u, sign).view(np.uint64), plain.view(np.uint64))
 
     def test_validate_and_perimeter_rays_are_certified(self, monkeypatch):
