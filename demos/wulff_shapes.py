@@ -37,7 +37,8 @@ for dim in (2, 3):
               f"{rep.extras['perimeter']:>12.6f}{row['rel_err']:>14.2e}")
 
 print("\nNote the crystalline families: the l1 norm yields the cube, the linf")
-print("norm the cross-polytope, both handled by exact polytope arithmetic.")
+print("norm the cross-polytope. Both are closed polytope meshes, measured like")
+print("every other boundary, and their identity holds to rounding.")
 
 shapes = []
 labels = []

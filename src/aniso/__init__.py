@@ -32,7 +32,6 @@ from .norms import (
     unit_sphere_samples,
 )
 from .wulff import (
-    Polytope,
     WulffShape,
     crystalline_polytope,
     icosphere,

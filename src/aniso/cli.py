@@ -46,7 +46,7 @@ from .verify import (
     plot_sequence,
     run_bubbling,
 )
-from .wulff import WulffShape, mesh_resolution, polygon_svg
+from .wulff import WulffShape, crystalline_polytope, mesh_resolution, polygon_svg
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -319,10 +319,8 @@ def _cmd_wulff(args):
             raise InvalidArgumentError(f"--resolution: {exc}") from None
         norm = parse_norm(args.norm, args.dim)
         w = WulffShape(norm, args.r)
-        if w.is_crystalline:
-            mesh = w.polytope().to_trisurface()
-        else:
-            mesh = w.boundary_mesh(resolution=args.resolution)
+        mesh = (w.boundary_mesh(resolution=args.resolution) if norm.smooth
+                else crystalline_polytope(norm, w.r))
         mesh.save_text(args.out)
         print(f"mesh with {len(mesh.vertices)} vertices written to {args.out}")
         if args.svg:

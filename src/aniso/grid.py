@@ -171,7 +171,8 @@ def _load_grid(path, magic, what, tail_fmt, payload_bytes):
     ``tail_fmt`` is the struct format of the fields after the spacing and
     ``payload_bytes(n)`` the payload length for n voxels.  A wrong magic or
     tag, a truncated header and a payload of any other length all raise
-    InvalidArgumentError.
+    InvalidArgumentError; a header of more than _MAX_VOXELS voxels raises
+    VoxelBudgetError, before the payload is looked at.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -187,8 +188,12 @@ def _load_grid(path, magic, what, tail_fmt, payload_bytes):
     except struct.error as exc:
         raise InvalidArgumentError(f"truncated {what} file header") from exc
     shape = fields[:dim]
+    count = math.prod(shape)
+    if count > _MAX_VOXELS:
+        raise VoxelBudgetError(
+            f"a {what} file of {count:,} voxels exceeds the budget of {_MAX_VOXELS:,}")
     payload = data[pos + 2 + struct.calcsize(fmt):]
-    if min(shape, default=0) < 1 or len(payload) != payload_bytes(math.prod(shape)):
+    if min(shape, default=0) < 1 or len(payload) != payload_bytes(count):
         raise InvalidArgumentError(f"{what} payload does not match the grid shape")
     return shape, np.array(fields[dim:2 * dim]), fields[2 * dim], fields[2 * dim + 1:], payload
 

@@ -146,7 +146,6 @@ class Norm:
 
     family = "abstract"
     smooth = True            # C^2 away from 0
-    strictly_convex = True
     _polar = None            # set by dual()
 
     def __init__(self, dim):
@@ -539,7 +538,6 @@ class _SmoothedMaxPolar(Norm):
 class L1Norm(Norm):
     family = "l1"
     smooth = False
-    strictly_convex = False
 
     def _eval(self, v):
         return np.sum(np.abs(v), axis=-1)
@@ -566,7 +564,6 @@ class L1Norm(Norm):
 class LinfNorm(Norm):
     family = "linf"
     smooth = False
-    strictly_convex = False
 
     def _eval(self, v):
         return np.max(np.abs(v), axis=-1)
@@ -683,25 +680,30 @@ class DualNorm(Norm):
         uu = np.broadcast_to(u[:, None, :], (n, r, d)).reshape(n * r, d)
         alpha = np.full(n * r, 0.5)
         val = np.sum(uu * v, axis=-1)
+        # each restart runs until its own step is below 1e-12 and takes that
+        # step too, so a point's result does not depend on its batch
+        act = np.arange(n * r)
         for _ in range(500):
-            g = base._grad(v)
+            va, ua, aa = v[act], uu[act], alpha[act]
+            g = base._grad(va)
             gn = g / np.linalg.norm(g, axis=-1, keepdims=True)
-            tang = uu - np.sum(uu * gn, axis=-1, keepdims=True) * gn
-            step = alpha[:, None] * tang
-            vn = v + step
+            tang = ua - np.sum(ua * gn, axis=-1, keepdims=True) * gn
+            step = aa[:, None] * tang
+            vn = va + step
             vn /= base._eval(vn)[:, None]
-            valn = np.sum(uu * vn, axis=-1)
-            better = valn >= val
-            v = np.where(better[:, None], vn, v)
-            val = np.where(better, valn, val)
-            alpha = np.where(better, np.minimum(alpha * 1.25, 4.0), alpha * 0.5)
-            if np.max(np.linalg.norm(step, axis=-1)) < 1e-12:
+            valn = np.sum(ua * vn, axis=-1)
+            better = valn >= val[act]
+            v[act[better]] = vn[better]
+            val[act[better]] = valn[better]
+            alpha[act] = np.where(better, np.minimum(aa * 1.25, 4.0), aa * 0.5)
+            act = act[np.linalg.norm(step, axis=-1) >= 1e-12]
+            if act.size == 0:
                 break
         # damped Newton polish on  u = mu * grad(phi)(v), phi(v) = 1
         mu = val.copy()
 
-        def kkt_norm(vv, mm):
-            res = uu - mm[:, None] * base._grad(vv)
+        def kkt_norm(rows, vv, mm):
+            res = uu[rows] - mm[:, None] * base._grad(vv)
             cons = base._eval(vv) - 1.0
             return np.sqrt(np.sum(res**2, axis=-1) + cons**2)
 
@@ -717,27 +719,33 @@ class DualNorm(Norm):
                                     (1.0 - base._eval(vv))[:, None])
             return delta[..., 0], res
 
-        fnorm = kkt_norm(v, mu)
+        # likewise each restart stops once its own KKT norm is small against its u
+        fnorm = kkt_norm(slice(None), v, mu)
+        kkt_tol = 1e-13 * (1.0 + np.max(np.abs(uu), axis=-1))
+        act = np.arange(n * r)
         for _ in range(40):
+            va, ma, fa = v[act], mu[act], fnorm[act]
             try:
-                delta, _ = newton_step(slice(None), v, mu)
+                delta, _ = newton_step(act, va, ma)
             except np.linalg.LinAlgError:
                 break
-            step = np.ones(n * r)
-            accepted = np.zeros(n * r, dtype=bool)
+            step = np.ones(act.size)
+            accepted = np.zeros(act.size, dtype=bool)
             for _bt in range(12):
-                trial_v = v + step[:, None] * delta[:, :d]
-                trial_mu = mu + step * delta[:, d]
-                trial_f = kkt_norm(trial_v, trial_mu)
-                good = ~accepted & (trial_f <= (1.0 - 0.25 * step) * fnorm + 1e-15)
-                v[good] = trial_v[good]
-                mu[good] = trial_mu[good]
-                fnorm[good] = trial_f[good]
+                trial_v = va + step[:, None] * delta[:, :d]
+                trial_mu = ma + step * delta[:, d]
+                trial_f = kkt_norm(act, trial_v, trial_mu)
+                good = ~accepted & (trial_f <= (1.0 - 0.25 * step) * fa + 1e-15)
+                va[good] = trial_v[good]
+                ma[good] = trial_mu[good]
+                fa[good] = trial_f[good]
                 accepted |= good
                 if accepted.all():
                     break
                 step = np.where(accepted, step, step * 0.5)
-            if np.max(fnorm) < 1e-13 * (1.0 + np.max(np.abs(uu))):
+            v[act], mu[act], fnorm[act] = va, ma, fa
+            act = act[fa >= kkt_tol[act]]
+            if act.size == 0:
                 break
         v /= base._eval(v)[:, None]
         val = np.sum(uu * v, axis=-1)

@@ -249,29 +249,25 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
     """(n+1)|W_r| against r * P(W_r), with a Monte Carlo volume cross-check."""
     t0 = time.perf_counter()
     dim = norm.dim
-    n = dim - 1
     rep = VerificationReport(
         "wulff-identity",
         {"norm": norm.spec_string, "r": r, "dim": dim, "resolution": resolution},
     )
     w = WulffShape(norm, r)
-    if w.is_crystalline:
-        poly = w.polytope()
-        vol, per = poly.volume(), poly.aniso_perimeter(norm)
-        rep.add("identity-exact", "volume_identity", (dim) * vol, r * per, 1e-12)
-        rep.extras["volume"] = vol
-        rep.extras["perimeter"] = per
-    else:
-        mesh = w.boundary_mesh(resolution=resolution)
-        vol = enclosed_volume(mesh)
-        per = aniso_area(mesh, norm)
+    mesh = (w.boundary_mesh(resolution=resolution) if norm.smooth
+            else crystalline_polytope(norm, w.r))
+    vol = enclosed_volume(mesh)
+    per = aniso_area(mesh, norm)
+    rep.extras.update({"volume": vol, "perimeter": per})
+    if norm.smooth:
         tol = DEFAULTS[dim]["tol_identity"]
         rep.add("identity-mesh", "volume_identity", dim * vol, r * per, tol)
         mc, se = monte_carlo_volume(w, samples=500_000, seed=seed)
         rep.add("volume-vs-monte-carlo", "volume_identity", mc, vol,
                 max(0.01, 4 * se / mc))
-        rep.extras.update({"volume": vol, "perimeter": per,
-                           "mc_volume": mc, "mc_stderr": se})
+        rep.extras.update({"mc_volume": mc, "mc_stderr": se})
+    else:
+        rep.add("identity-exact", "volume_identity", dim * vol, r * per, 1e-12)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
@@ -501,7 +497,7 @@ def run_bubbling(seq_kind="smoothed-max-to-linf", h_list=(1, 2, 3, 4, 5),
     lam = n / rbar
     spacing = rbar * DEFAULTS[dim]["spacing_frac"] if spacing is None else spacing
     limit_norm = LinfNorm(dim)
-    limit_wulff_per = crystalline_polytope(limit_norm, rbar).aniso_perimeter(limit_norm)
+    limit_wulff_per = aniso_area(crystalline_polytope(limit_norm, rbar), limit_norm)
     expected_count = 2 if base_spec.kind == "two-bubble" else 1
     rep = VerificationReport(
         "bubbling",

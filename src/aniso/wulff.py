@@ -3,13 +3,15 @@
 W_r = { x : phi_polar(x) <= r }.  For smooth strictly convex norms the
 boundary is parametrized by the gradient map u -> r * grad(phi)(u) over the
 unit sphere, whose outward Euclidean normal at that point is u itself.  The
-crystalline families (l1, linf) are handled by exact polytope arithmetic.
+crystalline families (l1, linf) have polytopes, built as closed meshes whose
+volume and anisotropic perimeter are `mesh.enclosed_volume` and
+`mesh.aniso_area`, as for every other boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,10 +142,6 @@ class WulffShape:
     def dim(self):
         return self.norm.dim
 
-    @property
-    def is_crystalline(self):
-        return self.norm.family in ("l1", "linf")
-
     def level_at(self, pts):
         """Signed boundary offset phi_polar(x) - r: negative inside, and equal
         to the dual-norm distance to the boundary (exactly, by homogeneity)."""
@@ -166,8 +164,10 @@ class WulffShape:
 
     def bounds(self):
         """Axis-aligned bounding box (lo, hi) of the shape."""
-        dirs = unit_sphere_samples(self.dim, 512)
-        bd = self.support_points(dirs) if not self.is_crystalline else self.polytope().vertices
+        if self.norm.smooth:
+            bd = self.support_points(unit_sphere_samples(self.dim, 512))
+        else:
+            bd = crystalline_polytope(self.norm, self.r).vertices
         lo = bd.min(axis=0) - 1e-9 * self.r
         hi = bd.max(axis=0) + 1e-9 * self.r
         return lo, hi
@@ -183,126 +183,47 @@ class WulffShape:
         and u_k is stored as the exact outward normal.  ``resolution`` is
         that of `_sphere_sample`.
         """
-        if self.is_crystalline:
+        if not self.norm.smooth:
             raise UnsupportedOperationError(
                 "crystalline Wulff shapes have no smooth boundary parametrization; "
                 "use crystalline_polytope")
-        if not self.norm.strictly_convex:
-            raise UnsupportedOperationError("boundary mesh needs a strictly convex norm")
         u, faces = _sphere_sample(self.dim, resolution)
         return TriSurface(self.r * self.norm.grad(u), faces, normals=u)
-
-    def polytope(self):
-        return crystalline_polytope(self.norm, self.r)
 
 
 # ---------------------------------------------------------------------------
 # crystalline polytopes
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Exact vertex plus halfspace representation ({x : A x <= b})."""
-
-    vertices: np.ndarray
-    halfspace_normals: np.ndarray
-    halfspace_offsets: np.ndarray
-    facet_vertex_ids: tuple      # tuple of index tuples, one per facet
-
-    @property
-    def dim(self):
-        return self.vertices.shape[1]
-
-    def volume(self):
-        # fan decomposition from the origin (interior by construction)
-        total = 0.0
-        for ids, nrm, off in zip(self.facet_vertex_ids, self.halfspace_normals,
-                                 self.halfspace_offsets):
-            area = self.facet_area(ids)
-            h = off / np.linalg.norm(nrm)
-            total += area * h / self.dim
-        return float(total)
-
-    def facet_area(self, ids):
-        pts = self.vertices[list(ids)]
-        if self.dim == 2:
-            return float(np.linalg.norm(pts[1] - pts[0]))
-        area = 0.0
-        for k in range(1, len(pts) - 1):
-            area += 0.5 * np.linalg.norm(np.cross(pts[k] - pts[0], pts[k + 1] - pts[0]))
-        return float(area)
-
-    def aniso_perimeter(self, norm: Norm):
-        total = 0.0
-        for ids, nrm in zip(self.facet_vertex_ids, self.halfspace_normals):
-            unit = nrm / np.linalg.norm(nrm)
-            total += self.facet_area(ids) * norm.eval(unit)
-        return float(total)
-
-    def to_trisurface(self):
-        if self.dim == 2:
-            order = np.argsort(np.arctan2(self.vertices[:, 1], self.vertices[:, 0]))
-            verts = self.vertices[order]
-            return TriSurface(verts, closed_loop_faces(len(verts)))
-        tris = []
-        for ids, nrm in zip(self.facet_vertex_ids, self.halfspace_normals):
-            ids = list(ids)
-            for k in range(1, len(ids) - 1):
-                a, b, c = ids[0], ids[k], ids[k + 1]
-                cr = np.cross(self.vertices[b] - self.vertices[a],
-                              self.vertices[c] - self.vertices[a])
-                if np.dot(cr, nrm) < 0:
-                    a, b, c = a, c, b
-                tris.append((a, b, c))
-        return TriSurface(self.vertices, np.array(tris, dtype=np.int64))
-
-
-def crystalline_polytope(norm: Norm, r=1.0) -> Polytope:
-    """Exact Wulff polytope for the crystalline families.
-
-    l1 norm  -> cube [-r, r]^d (its dual is linf);
-    linf norm -> cross-polytope of radius r (its dual is l1).
+def crystalline_polytope(norm: Norm, r=1.0) -> TriSurface:
+    """The Wulff polytope of a crystalline family as a closed outward mesh:
+    the cube [-r, r]^d for l1 (its dual is linf), the cross-polytope of
+    radius r for linf (its dual is l1).  In 2D the faces are the facets; in
+    3D a cube facet is two triangles and a cross-polytope facet one.
     """
     if norm.family not in ("l1", "linf"):
         raise UnsupportedOperationError("exact polytopes exist only for l1/linf")
     d = norm.dim
     if norm.family == "l1":
-        # cube
-        corners = np.array(np.meshgrid(*([[-r, r]] * d), indexing="ij")).reshape(d, -1).T
-        normals, offsets, facets = [], [], []
-        for axis in range(d):
-            for sgn in (1.0, -1.0):
-                normals.append(sgn * np.eye(d)[axis])
-                offsets.append(r)
-                ids = np.flatnonzero(np.isclose(corners[:, axis], sgn * r))
-                facets.append(tuple(_order_facet(corners[ids], np.eye(d)[axis] * sgn, ids)))
-        return Polytope(np.asarray(corners, dtype=float), np.array(normals),
-                        np.array(offsets), tuple(facets))
-    # cross-polytope
-    verts = np.concatenate([r * np.eye(d), -r * np.eye(d)])
-    normals, offsets, facets = [], [], []
-    for signs in np.array(np.meshgrid(*([[-1, 1]] * d), indexing="ij")).reshape(d, -1).T:
-        normals.append(signs / 1.0)
-        offsets.append(r)
-        ids = [np.flatnonzero(np.all(np.isclose(verts, r * signs[k] * np.eye(d)[k]), axis=1))[0]
-               for k in range(d)]
-        facets.append(tuple(_order_facet(verts[ids], signs.astype(float), np.array(ids))))
-    return Polytope(verts, np.array(normals, dtype=float), np.array(offsets, dtype=float),
-                    tuple(facets))
-
-
-def _order_facet(pts, normal, ids):
-    """Order facet vertices counterclockwise as seen from outside."""
-    if pts.shape[1] == 2:
-        return [int(i) for i in ids] if len(ids) <= 2 else [int(i) for i in ids[:2]]
-    center = pts.mean(axis=0)
-    normal = normal / np.linalg.norm(normal)
-    ref = pts[0] - center
-    ref -= np.dot(ref, normal) * normal
-    ref /= np.linalg.norm(ref)
-    other = np.cross(normal, ref)
-    ang = np.arctan2((pts - center) @ other, (pts - center) @ ref)
-    return [int(ids[k]) for k in np.argsort(ang)]
+        verts = np.array(list(itertools.product((-r, r), repeat=d)), dtype=float)
+        faces = []
+        for k, side in itertools.product(range(d), (-r, r)):
+            # a facet's corners in product order, so [0, 1, 3, 2] goes round it
+            ids = np.flatnonzero(verts[:, k] == side)
+            faces += [ids] if d == 2 else [ids[[0, 1, 3]], ids[[0, 3, 2]]]
+    else:
+        verts = np.concatenate([r * np.eye(d), -r * np.eye(d)])
+        # one facet per orthant: the vertex +-r e_k on each axis k
+        faces = [np.arange(d) + d * np.array(neg) for neg in itertools.product((0, 1), repeat=d)]
+    faces = np.array(faces)
+    tri = verts[faces]
+    edge = tri[:, 1] - tri[:, 0]
+    normal = (np.stack([edge[:, 1], -edge[:, 0]], axis=-1) if d == 2
+              else np.cross(edge, tri[:, 2] - tri[:, 0]))
+    # the polytope holds the origin, so an outward face faces its centroid
+    inward = np.sum(normal * tri.mean(axis=1), axis=-1) < 0
+    faces[inward] = faces[inward, ::-1]
+    return TriSurface(verts, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -38,3 +38,12 @@ def nan_spacing_vox(tmp_path):
     struct.pack_into("<d", raw, 5 + 1 + 1 + 16 + 16, float("nan"))
     path.write_bytes(bytes(raw))
     return path
+
+
+@pytest.fixture
+def over_budget_vox(tmp_path):
+    """A header-only 2D voxel file claiming 8192 x 8192 = 2^26 voxels, twice the
+    voxel budget, with no payload."""
+    path = tmp_path / "huge.vox"
+    path.write_bytes(b"AVOX\x01<" + struct.pack("<B2q3d", 2, 8192, 8192, 0.0, 0.0, 0.1))
+    return path

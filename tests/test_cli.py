@@ -519,6 +519,13 @@ class TestDtCommand:
                      "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_over_budget_file_exits_config(self, tmp_path, over_budget_vox, capsys):
+        assert main(["dt", "--in", str(over_budget_vox), "--norm", "euclidean",
+                     "--out", str(tmp_path / "d.bin")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the budget" in err
+        assert err.count("\n") == 1
+
     def test_negative_margin_exits_config(self, tmp_path, capsys):
         vox_path = tmp_path / "ball.vox"
         rasterize(WulffShape(EuclideanNorm(2), 1.0), 0.1, margin=2).save(vox_path)

@@ -996,6 +996,11 @@ class TestFileFormats:
             with pytest.raises(InvalidArgumentError):
                 rasterize(WulffShape(EuclideanNorm(2), 1.0), bad)
 
+    def test_header_over_voxel_budget_refused(self, over_budget_vox):
+        # refused on the header's count, before the missing payload is noticed
+        with pytest.raises(VoxelBudgetError, match="67,108,864 voxels exceeds the budget"):
+            VoxelSet.load(over_budget_vox)
+
     def test_distance_field_round_trip(self, tmp_path, ball2d):
         _, vox, df = ball2d
         path = tmp_path / "dist.bin"

@@ -643,6 +643,19 @@ class TestEllipseBatchIndependence:
             assert np.array_equal(phi.eval(v.reshape(20, 25, dim)), batch.reshape(20, 25))
 
 
+class TestDualNormBatchIndependence:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_point_value_is_its_batch_value(self, dim):
+        # every restart stops its ascent and its Newton polish on its own
+        # criterion, so a point's result does not depend on its batch
+        engine = DualNorm(parse_norm("lp:3", dim))
+        v = np.random.default_rng(dim).normal(size=(40, dim))
+        for op in (engine.eval, engine.grad, engine.hess):
+            batch = op(v)
+            for i in range(4):
+                assert np.array_equal(op(v[i]), batch[i])
+
+
 class TestLeadingShapes:
     """eval, grad and hess take points of shape (..., d) with any leading
     shape, and give each point its value in a flat batch of the same points."""

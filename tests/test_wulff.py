@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,32 +158,41 @@ class TestBoundaryMesh:
 
 
 class TestCrystallinePolytope:
+    """The polytopes are closed outward meshes, measured like every boundary."""
+
     def test_l1_gives_cube(self):
-        poly = crystalline_polytope(L1Norm(3), 1.0)
-        assert poly.volume() == pytest.approx(8.0, abs=1e-12)
-        assert poly.aniso_perimeter(L1Norm(3)) == pytest.approx(24.0, abs=1e-12)
+        mesh = crystalline_polytope(L1Norm(3), 1.0)
+        assert enclosed_volume(mesh) == pytest.approx(8.0, abs=1e-12)
+        assert aniso_area(mesh, L1Norm(3)) == pytest.approx(24.0, abs=1e-12)
 
     def test_linf_gives_cross_polytope_with_mc_oracle(self):
-        poly = crystalline_polytope(LinfNorm(3), 1.0)
-        assert poly.volume() == pytest.approx(4.0 / 3.0, abs=1e-12)
+        vol = enclosed_volume(crystalline_polytope(LinfNorm(3), 1.0))
+        assert vol == pytest.approx(4.0 / 3.0, abs=1e-12)
         mc, se = monte_carlo_volume(WulffShape(LinfNorm(3), 1.0), samples=2_000_000, seed=5)
-        assert poly.volume() == pytest.approx(mc, rel=0.01)
+        assert vol == pytest.approx(mc, rel=0.01)
 
     def test_l1_2d_square_perimeter(self):
-        poly = crystalline_polytope(L1Norm(2), 2.0)
-        assert poly.volume() == pytest.approx(16.0, abs=1e-12)
+        mesh = crystalline_polytope(L1Norm(2), 2.0)
+        vol = enclosed_volume(mesh)
+        assert vol == pytest.approx(16.0, abs=1e-12)
         # side 4 square, l1 norm of the axis normals is 1
-        assert poly.aniso_perimeter(L1Norm(2)) == pytest.approx(16.0, abs=1e-12)
+        per = aniso_area(mesh, L1Norm(2))
+        assert per == pytest.approx(16.0, abs=1e-12)
         # identity (n+1)|W_r| = r P(W_r)
-        assert 2 * poly.volume() == pytest.approx(2.0 * poly.aniso_perimeter(L1Norm(2)))
+        assert 2 * vol == pytest.approx(2.0 * per)
 
     def test_polytope_mesh_matches_exact_values(self):
-        for norm in (L1Norm(3), LinfNorm(3)):
-            poly = crystalline_polytope(norm, 1.0)
-            mesh = poly.to_trisurface()
-            assert enclosed_volume(mesh) == pytest.approx(poly.volume(), rel=1e-12)
-            assert aniso_area(mesh, norm) == pytest.approx(
-                poly.aniso_perimeter(norm), rel=1e-12)
+        # |W| = (2r)^d for the cube and (2r)^d / d! for the cross-polytope,
+        # both with P = d |W| / r; the mesh validates as closed and outward
+        r = 1.25
+        for dim, faces in ((2, (4, 4)), (3, (12, 8))):
+            for norm, vol, count in ((L1Norm(dim), (2 * r) ** dim, faces[0]),
+                                     (LinfNorm(dim), (2 * r) ** dim / math.factorial(dim),
+                                      faces[1])):
+                mesh = crystalline_polytope(norm, r)
+                assert len(mesh.faces) == count
+                assert enclosed_volume(mesh) == pytest.approx(vol, rel=1e-12)
+                assert aniso_area(mesh, norm) == pytest.approx(dim * vol / r, rel=1e-12)
 
     def test_non_crystalline_rejected(self):
         with pytest.raises(UnsupportedOperationError):
@@ -195,7 +206,8 @@ class TestVolumePerimeter:
             4 * np.pi / 3, rel=5e-3)
 
     def test_cube_volume_exact(self):
-        assert WulffShape(L1Norm(3), 1.0).polytope().volume() == pytest.approx(8.0, abs=1e-12)
+        cube = crystalline_polytope(L1Norm(3), 1.0)
+        assert enclosed_volume(cube) == pytest.approx(8.0, abs=1e-12)
 
     def test_ellipse_2d_area_with_mc_oracle(self):
         # W = { x^2 + y^2/4 <= 1 }: semi-axes 1 and 2, area 2 pi
@@ -212,10 +224,10 @@ class TestVolumePerimeter:
             4 * np.pi, rel=5e-3)
 
     def test_cube_perimeter_identity_exact(self):
-        w = WulffShape(L1Norm(3), 1.0)
-        poly = w.polytope()
-        assert poly.aniso_perimeter(w.norm) == pytest.approx(24.0, abs=1e-12)
-        assert poly.aniso_perimeter(w.norm) == pytest.approx(3 * poly.volume(), abs=1e-12)
+        norm = L1Norm(3)
+        mesh = crystalline_polytope(norm, 1.0)
+        assert aniso_area(mesh, norm) == pytest.approx(24.0, abs=1e-12)
+        assert aniso_area(mesh, norm) == pytest.approx(3 * enclosed_volume(mesh), abs=1e-12)
 
     def test_smoothmax_perimeter_extrapolates_to_crystalline_limit(self):
         # oracle: refine eps and extrapolate; the linf limit is the
