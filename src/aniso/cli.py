@@ -120,7 +120,7 @@ _PARSERS = {
                      "needs at least 4 values for the power-law fit"),
     "pairs": _parser(_split(_split(_positive, ":")), lambda v: all(len(p) == 2 for p in v),
                      "must be s:r pairs"),
-    "outdir": str,
+    "outdir": _parser(str, lambda v: "\x00" not in v, "must not contain a NUL character"),
     "seed": _parser(int, lambda v: v >= 0, "must be at least 0"),
     "resolution": int,
     "stencil_order": _parser(int, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),

@@ -708,27 +708,40 @@ class DualNorm(Norm):
             return np.sqrt(np.sum(res**2, axis=-1) + cons**2)
 
         def newton_step(rows, vv, mm):
-            # (dv, dmu) solving the bordered stationarity system at restarts rows
+            # (dv, dmu) solving the bordered stationarity system at restarts
+            # rows, the residual, and which systems are regular: if the stacked
+            # solve fails, each row is solved alone and a singular one gets no
+            # step (like `mesh._height_fit`), so it cannot stop the others
             g = base._grad(vv)
             try:
                 h = base._hess(vv)
             except SingularPointError:
                 h = _central_hess(base, vv)
             res = uu[rows] - mm[:, None] * g
-            delta = _bordered_solve(mm[:, None, None] * h, g, g, res[..., None],
-                                    (1.0 - base._eval(vv))[:, None])
-            return delta[..., 0], res
+            args = (mm[:, None, None] * h, g, g, res[..., None], (1.0 - base._eval(vv))[:, None])
+            ok = np.ones(len(vv), dtype=bool)
+            try:
+                delta = _bordered_solve(*args)
+            except np.linalg.LinAlgError:
+                delta = np.zeros((len(vv), d + 1, 1))
+                for k in range(len(vv)):
+                    try:
+                        delta[k] = _bordered_solve(*(a[k:k + 1] for a in args))[0]
+                    except np.linalg.LinAlgError:
+                        ok[k] = False
+            return delta[..., 0], res, ok
 
         # likewise each restart stops once its own KKT norm is small against its u
         fnorm = kkt_norm(slice(None), v, mu)
         kkt_tol = 1e-13 * (1.0 + np.max(np.abs(uu), axis=-1))
         act = np.arange(n * r)
         for _ in range(40):
-            va, ma, fa = v[act], mu[act], fnorm[act]
-            try:
-                delta, _ = newton_step(act, va, ma)
-            except np.linalg.LinAlgError:
+            delta, _, ok = newton_step(act, v[act], mu[act])
+            # a restart with a singular system keeps its iterate and stops
+            act, delta = act[ok], delta[ok]
+            if act.size == 0:
                 break
+            va, ma, fa = v[act], mu[act], fnorm[act]
             step = np.ones(act.size)
             accepted = np.zeros(act.size, dtype=bool)
             for _bt in range(12):
@@ -762,24 +775,25 @@ class DualNorm(Norm):
         if stiff.size:
             vk, uk, valk = v[stiff], uu[stiff], val[stiff]
             dec = np.full(stiff.size, np.inf)
+            live = np.arange(stiff.size)
             for _ in range(60):
-                try:
-                    delta, res = newton_step(stiff, vk, valk)
-                except np.linalg.LinAlgError:
-                    break
-                dv = delta[:, :d]
-                dec = np.abs(np.sum(dv * res, axis=-1))
-                moved = np.zeros(stiff.size, dtype=bool)
-                step = np.ones(stiff.size)
+                delta, res, ok = newton_step(stiff[live], vk[live], valk[live])
+                # a restart with a singular system keeps its iterate and decrement
+                live, dv = live[ok], delta[ok, :d]
+                dec[live] = np.abs(np.sum(dv * res[ok], axis=-1))
+                vl, ul, vall = vk[live], uk[live], valk[live]
+                moved = np.zeros(live.size, dtype=bool)
+                step = np.ones(live.size)
                 for _bt in range(40):
-                    tv = vk + step[:, None] * dv
+                    tv = vl + step[:, None] * dv
                     tv /= base._eval(tv)[:, None]
-                    tval = np.sum(uk * tv, axis=-1)
-                    good = ~moved & (tval > valk)
-                    vk[good] = tv[good]
-                    valk[good] = tval[good]
+                    tval = np.sum(ul * tv, axis=-1)
+                    good = ~moved & (tval > vall)
+                    vl[good] = tv[good]
+                    vall[good] = tval[good]
                     moved |= good
                     step = np.where(moved, step, 0.5 * step)
+                vk[live], valk[live] = vl, vall
                 if not moved.any():
                     break
             v[stiff], val[stiff] = vk, valk

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError, InvalidArgumentError, MeshBudgetError
+from .errors import (ConvergenceError, GeometryError, InvalidArgumentError, MeshBudgetError,
+                     UnsupportedOperationError)
 from .mesh import TriSurface
 from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, _newton, parse_norm, tangent_basis,
                     unit_sphere_samples)
@@ -310,12 +311,20 @@ class _TwoBubbleProfile:
         return self._radii(np.atleast_2d(np.asarray(u, dtype=float)))[1]
 
     def _radii(self, u):
-        """(union, profile) radii at rays u, from one union solve.
+        """(union, profile) radii at rays u, from one union solve."""
+        union, profile, _ = self._solve(u)
+        return union, profile
+
+    def _solve(self, u):
+        """(union, profile, grads) at rays u, from one union solve.
 
         The neck's edge rays join that solve: one ray and its two
         finite-difference neighbours per distinct (meridian, side) of the band
         rays.  A union radius depends only on its own ray, so each is the one
-        a separate call would give, bit for bit.
+        a separate call would give, bit for bit.  grads() gives the tangential
+        gradients (grad_S union, grad_S profile) from the same solve, with no
+        further ray: the union's by implicit differentiation of each exit, the
+        blend's by differentiating the Hermite cubic and its edge data.
         """
         n = len(u)
         theta = np.arccos(np.clip(u[:, self.axis], -1.0, 1.0))
@@ -339,25 +348,61 @@ class _TwoBubbleProfile:
         first, inv = _row_groups(np.column_stack([m, side]))
         m_k, t_k = m[first], t_edge[first]
         dt = 1e-5
-        edge = direction(np.concatenate([t_k, t_k + dt, t_k - dt]),
-                         np.concatenate([m_k, m_k, m_k]))
-        rho = self.union_rho(np.concatenate([u, edge]))
+        t_rays = np.concatenate([t_k, t_k + dt, t_k - dt])
+        rays = np.concatenate([u, direction(t_rays, np.concatenate([m_k, m_k, m_k]))])
+        rho = self.union_rho(rays)
         union = rho[:n]
         rho_e, rho_p, rho_m = np.split(rho[n:], 3)
         rho_e_d = (rho_p - rho_m) / (2 * dt)
-        rho_c = self.waist_rho(direction(np.full(len(m_k), np.pi / 2), m_k))
-        rho_e, rho_e_d, rho_c = rho_e[inv], rho_e_d[inv], rho_c[inv]
+        waist = direction(np.full(len(m_k), np.pi / 2), m_k)
+        rho_c = self.waist_rho(waist)
         # cubic Hermite on [t_edge, pi/2]: value/slope at the edge from the
         # union profile, waist value with zero slope at the equator
         span = np.pi / 2 - t_edge
         s = (tb - t_edge) / span
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        blended = h00 * rho_e + h10 * span * rho_e_d + h01 * rho_c
+
+        def hermite(h00, h10, h01, e, e_d, c):
+            return h00 * e[inv] + h10 * span * e_d[inv] + h01 * c[inv]
+
+        basis = (2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, -2 * s**3 + 3 * s**2)
+        blended = hermite(*basis, rho_e, rho_e_d, rho_c)
         profile = union.copy()
         profile[band] = np.maximum(blended, union[band])
-        return union, profile
+
+        def grads():
+            # phi_polar(rho u - c) = r on the ball the ray leaves (the right
+            # one on the tangency plane, which holds no band or edge ray), and
+            # with x = grad phi_polar there, phi_polar(y) = <y, x>: so d rho =
+            # -rho <x, du> / <x, u> (ray and edge exits, one dual.grad with
+            # the waist rays)
+            sign = np.where(rays[:, self.axis] >= 0, 1.0, -1.0)
+            x = self.dual.grad(np.concatenate(
+                [rho[:, None] * rays - sign[:, None] * self.center_offset, waist]))
+            x, x_c = x[:len(rays)], x[len(rays):]
+            xu = np.sum(x * rays, axis=-1)
+            k = -rho / xu
+            g_union = k[:n, None] * (x[:n] - xu[:n, None] * rays[:n])
+            # the blend along its meridian, d u / d theta = -sin e_axis + cos m
+            t_theta = np.cos(tb)[:, None] * m
+            t_theta[:, self.axis] = -sa
+            dh = (6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, -6 * s**2 + 6 * s)
+            g_blend = (hermite(*dh, rho_e, rho_e_d, rho_c) / span)[:, None] * t_theta
+            if self.dim == 3:
+                # and across meridians, d m / d psi = m' = e_axis x m: the edge
+                # rays move at sin(t) m', the waist ray at m'
+                m_psi = np.cross(np.eye(3)[self.axis], m_k)
+                m_rays = np.concatenate([m_psi, m_psi, m_psi])
+                d_edge = k[n:] * np.sum(x[n:] * (np.sin(t_rays)[:, None] * m_rays), axis=-1)
+                d_e, d_p, d_m = np.split(d_edge, 3)
+                d_c = -rho_c**2 * np.sum(x_c * m_psi, axis=-1) / (0.5 * self.w)
+                g_blend += (hermite(*basis, d_e, (d_p - d_m) / (2 * dt), d_c)
+                            / sa)[:, None] * m_psi[inv]
+            g_profile = g_union.copy()
+            g_profile[band] = np.where((blended > union[band])[:, None], g_blend,
+                                       g_union[band])
+            return g_union, g_profile
+
+        return union, profile, grads
 
     def _radii_sets(self, sets):
         """_radii of each ray set, from one solve: (unions, profiles) lists."""
@@ -497,7 +542,7 @@ def _gen_two_bubble(spec, resolution):
     # validate's samples, the mesh rays and the normals' probes in one solve
     rho, *probe_rho = profile.validate(u, *_chord_probes(u, t, 1e-5))
     # outward normal of x = rho(u) u: proportional to u - grad_S(rho) / rho
-    nrm = u - _grad_s(t, probe_rho, [(1e-5, 1.0)] * t.shape[-1]) / rho[:, None]
+    nrm = u - _grad_s(t, probe_rho, 1e-5) / rho[:, None]
     mesh = TriSurface(rho[:, None] * u, faces,
                       normals=nrm / np.linalg.norm(nrm, axis=-1, keepdims=True))
     solid = TwoBubbleSolid(profile)
@@ -554,11 +599,13 @@ def _gen_tangent_union(spec, resolution):
 # The anisotropic area element of a star-shaped surface x = rho(u) u is
 # phi(rho^(d-1) u - rho^(d-2) grad_S rho) dsigma(u) by 1-homogeneity of phi,
 # and its outward normal is proportional to u - grad_S(rho) / rho.  One
-# gradient (`_grad_s`, central differences along a unit tangent frame) and one
-# density (`_area_density`) serve every perimeter and the two-bubble normals in
-# both dimensions.  The dense direction quadrature resolves near-crystalline
-# norms far better than chordal meshes, whose slanted faces misreport
-# phi(normal) around sharp edges.
+# density (`_area_density`) serves every perimeter in both dimensions.  The
+# gradient is `_grad_s`'s central differences along a unit tangent frame for
+# `radial_perimeter` and the two-bubble normals; `two_bubble_perimeter` takes
+# it from its one band solve by implicit differentiation instead
+# (`_TwoBubbleProfile._solve`), with no probe ray.  The dense direction
+# quadrature resolves near-crystalline norms far better than chordal meshes,
+# whose slanted faces misreport phi(normal) around sharp edges.
 
 _SPHERE_AREA = {2: 2 * np.pi, 3: 4 * np.pi}
 
@@ -570,15 +617,12 @@ def _chord_probes(u, t, h):
             yield p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
-def _grad_s(t, probe_rho, steps):
-    """Tangential gradient of rho on the unit tangent frame t, (..., d, d-1).
-
-    probe_rho holds the radii at the + and the - probe of each column in
-    turn; steps[k] = (h, speed): the probes of column k sit at parameter +-h,
-    and the parameter moves the ray along t_k at that speed.
-    """
-    return sum(((probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * h) / speed)[..., None]
-               * t[..., k] for k, (h, speed) in enumerate(steps))
+def _grad_s(t, probe_rho, h):
+    """Tangential gradient of rho on the unit tangent frame t, (..., d, d-1),
+    from the radii at the + and the - chord probe (`_chord_probes`, step h)
+    of each column in turn."""
+    return sum(((probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * h))[..., None] * t[..., k]
+               for k in range(t.shape[-1]))
 
 
 def _area_density(norm, u, rho, grad_s):
@@ -593,7 +637,7 @@ def radial_perimeter(norm, rho_fn, n_dirs=None):
     u = unit_sphere_samples(dim, {2: 200_000, 3: 400_000}[dim] if n_dirs is None else n_dirs)
     t = tangent_basis(u)
     probe_rho = [rho_fn(p) for p in _chord_probes(u, t, 1e-6)]
-    grad_s = _grad_s(t, probe_rho, [(1e-6, 1.0)] * (dim - 1))
+    grad_s = _grad_s(t, probe_rho, 1e-6)
     return float(np.mean(_area_density(norm, u, rho_fn(u), grad_s)) * _SPHERE_AREA[dim])
 
 
@@ -610,23 +654,19 @@ def _wulff_ball_perimeter(dual, r, n_dirs):
     return r**n * float(np.mean(dual.eval(u) ** -(n + 1))) * _SPHERE_AREA[dual.dim]
 
 
-def _axis_frame(axis, theta, psi=None):
+def _axis_rays(axis, theta, psi=None):
     """Rays at polar angle theta from e_axis (and azimuth psi about it in 3D),
-    with their unit tangents along theta (and psi): shapes (..., d), (..., d, d-1)."""
+    shape (..., d)."""
     d = 2 if psi is None else 3
     perp = [k for k in range(d) if k != axis]
-    c, s = np.cos(theta), np.sin(theta)
+    s = np.sin(theta)
     u = np.empty(theta.shape + (d,))
-    t = np.zeros(theta.shape + (d, d - 1))
-    u[..., axis], t[..., axis, 0] = c, -s
+    u[..., axis] = np.cos(theta)
     if psi is None:
-        u[..., perp[0]], t[..., perp[0], 0] = s, c
+        u[..., perp[0]] = s
     else:
-        cp, sp = np.cos(psi), np.sin(psi)
-        u[..., perp[0]], u[..., perp[1]] = s * cp, s * sp
-        t[..., perp[0], 0], t[..., perp[1], 0] = c * cp, c * sp
-        t[..., perp[0], 1], t[..., perp[1], 1] = -sp, cp
-    return u, t
+        u[..., perp[0]], u[..., perp[1]] = s * np.cos(psi), s * np.sin(psi)
+    return u
 
 
 def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=None, n_band=None):
@@ -639,35 +679,35 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=None, n_band=None)
     theta, psi) grids of polar angle theta and azimuth psi about the axis: in
     2D two bands about theta = +-pi/2, of n_band = (n_theta,) angles each
     (default (4096,)); in 3D one band about pi/2, n_band = (n_theta, n_psi)
-    (default (180, 256)).  Their rays and the probes at theta +- 1e-6 (and
-    psi +- 1e-6) go through one solve.
+    (default (180, 256)).  Their rays and the neck's edge rays go through one
+    solve, which also gives grad_S rho of the union and of the profile by
+    implicit differentiation (`_TwoBubbleProfile._solve`): no probe ray, no
+    difference step.  That needs a polar with a gradient everywhere, so a
+    crystalline polar is refused with UnsupportedOperationError.
     """
-    norm, dim, beta, d = profile.norm, profile.norm.dim, profile.beta, 1e-6
+    norm, dim, beta = profile.norm, profile.norm.dim, profile.beta
+    if not profile.dual.smooth:
+        raise UnsupportedOperationError(
+            f"the two-bubble perimeter differentiates the ball exits, and the "
+            f"{profile.dual.family} polar of {norm.family} has no gradient at its kinks")
     n_ball = {2: 100_000, 3: 400_000}[dim] if n_ball is None else n_ball
     n_band = {2: (4096,), 3: (180, 256)}[dim] if n_band is None else n_band
     if dim == 2:
         psi, dpsi = None, 1.0
         theta = np.stack([np.linspace(c - beta, c + beta, n_band[0])
                           for c in (np.pi / 2, -np.pi / 2)])[..., None]
-        probes = [(theta, psi), (theta + d, psi), (theta - d, psi)]
     else:
         n_theta, n_psi = n_band
         dpsi = 2 * np.pi / n_psi
         theta, psi = np.meshgrid(np.linspace(np.pi / 2 - beta, np.pi / 2 + beta, n_theta),
                                  (np.arange(n_psi) + 0.5) * dpsi, indexing="ij")
         theta, psi = theta[None], psi[None]
-        probes = [(theta, psi), (theta + d, psi), (theta - d, psi),
-                  (theta, psi + d), (theta, psi - d)]
     p_ball = _wulff_ball_perimeter(profile.dual, profile.r, n_ball)
-    rays = [_axis_frame(profile.axis, th, ps)[0].reshape(-1, dim) for th, ps in probes]
-    rho_u, rho_b = profile._radii_sets(rays)
-    t = _axis_frame(profile.axis, theta, psi)[1].reshape(-1, dim, dim - 1)
-    sin = np.sin(theta).ravel()
-    steps = [(d, 1.0), (d, sin)][:dim - 1]
-    dens_b, dens_u = (_area_density(norm, rays[0], rho[0], _grad_s(t, rho[1:], steps))
-                      for rho in (rho_b, rho_u))
+    u = _axis_rays(profile.axis, theta, psi).reshape(-1, dim)
+    union, blend, grads = profile._solve(u)
+    dens_u, dens_b = (_area_density(norm, u, rho, g) for rho, g in zip((union, blend), grads()))
     # dsigma = sin(theta)^(d-2) dtheta dpsi
-    diff = ((dens_b - dens_u) * sin ** (dim - 2)).reshape(theta.shape)
+    diff = ((dens_b - dens_u) * np.sin(theta).ravel() ** (dim - 2)).reshape(theta.shape)
     corr = 0.0
     for band, th in zip(diff, theta):
         corr += float(np.sum(band) * (th[1, 0] - th[0, 0]) * dpsi)

@@ -263,8 +263,13 @@ def check_wulff_identity(norm: Norm, r=1.0, resolution=None, seed=0) -> Verifica
         tol = DEFAULTS[dim]["tol_identity"]
         rep.add("identity-mesh", "volume_identity", dim * vol, r * per, tol)
         mc, se = monte_carlo_volume(w, samples=500_000, seed=seed)
+        # a ball much thinner than its box's 1e-9 r pad (ellipse:1e-300,1)
+        # gets no sample: nothing to compare, a low-confidence result
+        resolved = mc > 0
         rep.add("volume-vs-monte-carlo", "volume_identity", mc, vol,
-                max(0.01, 4 * se / mc))
+                max(0.01, 4 * se / mc) if resolved else 0.01, enforce=resolved)
+        if not resolved:
+            rep.flags.append("monte-carlo-volume-unresolved")
         rep.extras.update({"mc_volume": mc, "mc_stderr": se})
     else:
         rep.add("identity-exact", "volume_identity", dim * vol, r * per, 1e-12)

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import os
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso import (
     ConfigError,
@@ -248,6 +255,28 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: outdir") and str(outdir) in err[0]
+
+    def test_outdir_with_a_nul_character_exits_config(self, tmp_path, capsys):
+        # no path holds a NUL: refused at parse time, not by os.makedirs
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=wulff-identity\ndim=2\noutdir={tmp_path}/a\x00b\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: line 3: outdir") and "NUL" in err[0]
+
+    def test_ball_thinner_than_its_sampling_box_is_low_confidence(self, tmp_path, capsys):
+        # no Monte Carlo sample hits a ball 1e-150 r wide in a box padded by
+        # 1e-9 r: the volume cross-check is not enforced and the run is flagged
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"experiment=wulff-identity\ndim=2\nnorm=ellipse:1e-300,1\n"
+                            f"outdir={tmp_path}/out\n")
+        assert main(["run", str(cfg_path)]) == EXIT_AMBIGUOUS
+        assert capsys.readouterr().err == ""
+        (report,) = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+        assert report["flags"] == ["monte-carlo-volume-unresolved"]
+        row = next(r for r in report["rows"] if r["name"] == "volume-vs-monte-carlo")
+        assert row["predicted"] == 0.0 and not row["enforced"]
 
     @pytest.mark.parametrize("name", ["report.json", "runtime.json", "report.json.tmp"])
     def test_output_that_is_a_directory_exits_config(self, tmp_path, capsys, monkeypatch, name):
@@ -555,3 +584,107 @@ class TestDtCommand:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "aniso" in result.stdout
+
+
+_AWKWARD = ["", "nan", "-inf", "inf", "1e308", "1e309", "-1e308", "9" * 25, "-1", "-0", "0",
+            "0.5", "2", "3", "é", "１", "∞", "xéy", "1,2", ":", "\x00"]
+# values that make sense for some key, so that parsing gets past the first check
+_PLAUSIBLE = {
+    "experiment": ["wulff-identity", "erosion", "minkowski", "disintegration", "bubbling",
+                   "all"],
+    "norm": ["euclidean", "linf", "smoothmax:0.1", "smoothmax:1e-300", "lp:3", "lp:1e300",
+             "ellipse:1,4", "ellipse:1,4,2", "ellipse:1e-300,1", "lp:3:1,nan"],
+    "dim": ["2", "3"],
+    "spacing": ["0.05", "1e-300", "1e300"],
+    "radii": ["0.2,0.4,0.6,0.8", "0.1,0.2,nan,0.4", "1e308,1,2,3"],
+    "pairs": ["0.2:0.5", "0.1:-1", "1e308:1e308"],
+    "outdir": ["out", "", "é", "a\x00b", "a" * 300],
+    "seed": ["0", "7", "9" * 25],
+    "resolution": ["3", "5", "64", "1000000000000"],
+    "stencil_order": ["1", "3"],
+    "tol": ["0.1", "1e-300"],
+    "hsteps": ["1", "1,2", "8", "100000000000"],
+    "sequence": ["smoothed-max-to-linf", "lp-to-linf", "é"],
+    "r": ["1.5", "0.5", "1e-300", "1e300"],
+    "eps": ["0.1", "0.29"],
+    "pattern": ["0", "3", "9"],
+    "neck": ["0.1", "0.7"],
+    "k": ["2", "3", "100000"],
+}
+_SHAPE_KINDS = ("wulff", "perturbed-wulff", "two-bubble", "tangent-union", "blob", "")
+
+
+@st.composite
+def _config_texts(draw):
+    """key=value config texts over every RunConfig key and every shape key,
+    three values in four plausible for their key, the rest awkward."""
+    from aniso.cli import _PARSERS
+
+    def value(key):
+        plausible = draw(st.integers(0, 3)) > 0
+        return draw(st.sampled_from(_PLAUSIBLE[key] if plausible else _AWKWARD))
+
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(_PARSERS)), max_size=5, unique=True)):
+        if key == "shape":
+            fields = draw(st.lists(st.sampled_from(("norm", "r", "eps", "pattern", "neck", "k")),
+                                   max_size=3, unique=True))
+            text = " ".join([draw(st.sampled_from(_SHAPE_KINDS))]
+                            + [f"{name}={value(name)}" for name in fields])
+        else:
+            text = value(key)
+        lines.append(f"{key}={text}")
+    if draw(st.integers(0, 3)) > 0:
+        lines.insert(0, f"experiment={value('experiment')}")
+    return "\n".join(lines) + "\n"
+
+
+def _quick_wulff_identity(cfg):
+    # the one driver that runs in well under a second at its default mesh
+    small = {2: 4096, 3: 5}[cfg.dim]
+    return cfg.resolution is None or cfg.resolution <= small
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=200, deadline=None)
+    @given(_config_texts())
+    def test_every_config_exits_cleanly(self, text):
+        # any text: a known exit code, no traceback or RuntimeWarning on
+        # stderr, and each config error on one line of its own; drivers other
+        # than a quick wulff-identity are stubbed by what `_run_one` builds
+        from aniso import cli
+        from aniso.verify import VerificationReport
+
+        real = cli._run_one
+
+        def run_one(cfg, experiment):
+            if experiment == "wulff-identity" and _quick_wulff_identity(cfg):
+                return real(cfg, experiment)
+            if experiment == "bubbling":
+                cfg.bubbling_base()
+            else:
+                cfg.shape_spec()
+            rep = VerificationReport(experiment, {})
+            rep.add_condition("stub", "stub", True)
+            return rep
+
+        cwd = os.getcwd()
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_run_one", run_one), \
+                warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            os.chdir(tmp)
+            try:
+                with open("run.cfg", "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                status = main(["run", "run.cfg"])
+            finally:
+                os.chdir(cwd)
+        assert status in (EXIT_PASS, EXIT_FAIL, EXIT_AMBIGUOUS, EXIT_CONFIG)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = err.getvalue().split("\n")[:-1]
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert all(line.startswith(("config error: ", "error: ")) for line in lines), lines
+        if any(line.startswith("config error: ") for line in lines):
+            assert status == EXIT_CONFIG

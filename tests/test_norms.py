@@ -655,6 +655,31 @@ class TestDualNormBatchIndependence:
             for i in range(4):
                 assert np.array_equal(op(v[i]), batch[i])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_singular_polish_system_stops_only_its_restart(self, dim, monkeypatch):
+        # the first polish step's bordered system is singular at one restart
+        # of point 0 (a zero Hessian); that restart keeps its iterate, and
+        # every other point is its single-point call's, bit for bit
+        base = parse_norm("lp:3", dim)
+        engine = DualNorm(base)
+        v = np.random.default_rng(dim).normal(size=(12, dim))
+        hess, calls = base._hess, []
+
+        def singular_once(w):
+            h = hess(w)
+            if not calls:
+                h[3] = 0.0
+            calls.append(len(w))
+            return h
+
+        with monkeypatch.context() as patch:
+            patch.setattr(base, "_hess", singular_once)
+            batch = engine.eval(v)
+        assert calls[0] == 8 * len(v)
+        for i in range(1, len(v)):
+            assert np.array_equal(engine.eval(v[i]), batch[i])
+        assert batch[0] == pytest.approx(base.dual().eval(v[0]), rel=1e-12)
+
 
 class TestLeadingShapes:
     """eval, grad and hess take points of shape (..., d) with any leading

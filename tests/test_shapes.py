@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from aniso import (
     InvalidArgumentError,
     ShapeSpec,
     SmoothedMaxNorm,
+    UnsupportedOperationError,
     WulffShape,
     curvature,
     enclosed_volume,
@@ -280,49 +283,77 @@ def _profile_ref(p, u):
     return out
 
 
+def _exit_slope(p, u, rho, v):
+    # d rho along the tangent v at the ray u, by implicit differentiation of
+    # phi_polar(rho u - c) = r on the ball the ray leaves
+    c = np.where(u[:, p.axis] >= 0, 1.0, -1.0)[:, None] * p.center_offset
+    x = p.dual.grad(rho[:, None] * u - c)
+    return -rho * np.sum(x * v, axis=-1) / np.sum(x * u, axis=-1)
+
+
 def _band_correction_two_calls(p, n_band):
-    # the perimeter's band correction with the profile and the union each
-    # solved by its own call at every probe set
-    norm = p.norm
-    if norm.dim == 2:
-        def rot(a):
-            return np.stack([np.cos(a), np.sin(a)], axis=-1)
+    # the perimeter's band correction with the union and the profile each
+    # solved by its own call, and grad_S rho summed over the (theta, psi)
+    # frame: the union's slopes by implicit differentiation of its exit, the
+    # blend's by differentiating the Hermite cubic, its edge value, its edge
+    # slope (a central difference over 2e-5, as the profile defines it) and
+    # its waist value; the profile's gradient is the blend's where it lies
+    # above the union (axis 0)
+    norm, dim, beta = p.norm, p.dim, p.beta
+    if dim == 2:
+        alpha = np.concatenate([np.linspace(c - beta, c + beta, n_band[0])
+                                for c in (np.pi / 2, -np.pi / 2)])
+        u = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        weight = np.full(len(u), alpha[1] - alpha[0])
+    else:
+        th = np.linspace(np.pi / 2 - beta, np.pi / 2 + beta, n_band[0])
+        ps = (np.arange(n_band[1]) + 0.5) * (2 * np.pi / n_band[1])
+        tg, pg = (g.ravel() for g in np.meshgrid(th, ps, indexing="ij"))
+        u = np.stack([np.cos(tg), np.sin(tg) * np.cos(pg), np.sin(tg) * np.sin(pg)], -1)
+        weight = np.sin(tg) * (th[1] - th[0]) * (2 * np.pi / n_band[1])
+    union, profile = p.union_rho(u), p(u)
+    theta = np.arccos(np.clip(u[:, 0], -1.0, 1.0))
+    sa = np.sin(theta)
+    m = u.copy()
+    m[:, 0] = 0.0
+    m /= sa[:, None]
 
-        corr = 0.0
-        for center in (np.pi / 2, -np.pi / 2):
-            alpha = np.linspace(center - p.beta, center + p.beta, n_band[0])
-            u = rot(alpha)
-            t = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
+    def direction(t):
+        d = np.sin(t)[:, None] * m
+        d[:, 0] = np.cos(t)
+        return d
 
-            def vec_of(fn):
-                drho = (fn(rot(alpha + 1e-6)) - fn(rot(alpha - 1e-6))) / 2e-6
-                return fn(u)[:, None] * u - drho[:, None] * t
+    frame = [direction(theta + np.pi / 2)]
+    if dim == 3:
+        frame.append(np.stack([np.zeros_like(theta), -m[:, 2], m[:, 1]], -1))
+    g_union = sum(_exit_slope(p, u, union, v)[:, None] * v for v in frame)
+    side = np.where(theta <= np.pi / 2, 1.0, -1.0)
+    t_e = np.pi / 2 - side * beta
+    span = np.pi / 2 - t_e
+    s = (theta - t_e) / span
+    dt = 1e-5
+    edge = [direction(t_e + k * dt) for k in (0, 1, -1)]
+    rho_e, rho_p, rho_m = (p.union_rho(e) for e in edge)
+    waist = direction(np.full(len(u), np.pi / 2))
+    rho_c = p.waist_rho(waist)
+    d_theta = ((6 * s**2 - 6 * s) * rho_e + (3 * s**2 - 4 * s + 1) * span * (rho_p - rho_m)
+               / (2 * dt) + (-6 * s**2 + 6 * s) * rho_c) / span
+    g_blend = d_theta[:, None] * frame[0]
+    if dim == 3:
+        mp = frame[1]
+        d_e, d_p, d_m = (_exit_slope(p, e, rho, np.sin(t_e + k * dt)[:, None] * mp)
+                         for e, rho, k in zip(edge, (rho_e, rho_p, rho_m), (0, 1, -1)))
+        grad_w = p.dual.grad(waist)
+        d_c = -0.5 * p.w * np.sum(grad_w * mp, axis=-1) / p.dual.eval(waist) ** 2
+        d_psi = ((2 * s**3 - 3 * s**2 + 1) * d_e + (s**3 - 2 * s**2 + s) * span
+                 * (d_p - d_m) / (2 * dt) + (-2 * s**3 + 3 * s**2) * d_c)
+        g_blend = g_blend + (d_psi / sa)[:, None] * mp
+    g_profile = np.where((profile > union)[:, None], g_blend, g_union)
 
-            corr += float(np.sum(norm.eval(vec_of(p)) - norm.eval(vec_of(p.union_rho)))
-                          * (alpha[1] - alpha[0]))
-        return corr
-    theta = np.linspace(np.pi / 2 - p.beta, np.pi / 2 + p.beta, n_band[0])
-    psi = (np.arange(n_band[1]) + 0.5) * (2 * np.pi / n_band[1])
-    tg, pg = np.meshgrid(theta, psi, indexing="ij")
+    def density(rho, g):
+        return norm.eval((rho**(dim - 1))[:, None] * u - (rho**(dim - 2))[:, None] * g)
 
-    def dir_of(th, ps):
-        return np.stack([np.cos(th), np.sin(th) * np.cos(ps), np.sin(th) * np.sin(ps)], -1)
-
-    def vec_of(fn):
-        def rho(th, ps):
-            return fn(dir_of(th, ps).reshape(-1, 3)).reshape(tg.shape)
-        d = 1e-6
-        drho_t = (rho(tg + d, pg) - rho(tg - d, pg)) / (2 * d)
-        drho_p = (rho(tg, pg + d) - rho(tg, pg - d)) / (2 * d)
-        that = np.stack([-np.sin(tg), np.cos(tg) * np.cos(pg), np.cos(tg) * np.sin(pg)], -1)
-        phat = np.stack([np.zeros_like(pg), -np.sin(pg), np.cos(pg)], -1)
-        grad_s = drho_t[..., None] * that + (drho_p / np.sin(tg))[..., None] * phat
-        r0 = rho(tg, pg)
-        return (r0**2)[..., None] * dir_of(tg, pg) - r0[..., None] * grad_s
-
-    vb, vu = vec_of(p), vec_of(p.union_rho)
-    diff = (norm.eval(vb.reshape(-1, 3)) - norm.eval(vu.reshape(-1, 3))).reshape(tg.shape)
-    return float(np.sum(diff * np.sin(tg)) * (theta[1] - theta[0]) * (2 * np.pi / n_band[1]))
+    return float(np.sum((density(profile, g_profile) - density(union, g_union)) * weight))
 
 
 _SMOOTH_PROFILE_NORMS = [(2, "euclidean"), (2, "ellipse:1,4"), (2, "smoothmax:0.5"),
@@ -516,7 +547,7 @@ class TestTwoBubbleProfileReference:
         assert _wulff_ball_perimeter(dual, 1.3, n_dirs) == pytest.approx(
             radial_perimeter(norm, lambda u: 1.3 / dual.eval(u), n_dirs=n_dirs), rel=1e-12)
 
-    @pytest.mark.parametrize("dim,spec", _PROFILE_NORMS)
+    @pytest.mark.parametrize("dim,spec", _SMOOTH_PROFILE_NORMS)
     def test_perimeter_matches_two_call_composition(self, dim, spec, monkeypatch):
         p = self._profile(dim, spec)
         n_ball, n_band = 20_000, (40, 32)[:dim - 1]
@@ -532,6 +563,13 @@ class TestTwoBubbleProfileReference:
         assert two_bubble_perimeter(p, n_ball=n_ball, n_band=n_band) == pytest.approx(
             ref, rel=1e-9)
         assert ball_dirs == [n_ball]
+
+    @pytest.mark.parametrize("dim,spec", [c for c in _PROFILE_NORMS if c[1] == "linf"])
+    def test_perimeter_refuses_a_kinked_polar(self, dim, spec):
+        # the l1 polar of linf has no gradient at its kinks, so its exits have
+        # no implicit derivative
+        with pytest.raises(UnsupportedOperationError):
+            two_bubble_perimeter(self._profile(dim, spec), n_ball=2_000, n_band=(40, 32)[:dim - 1])
 
 
 def _unique_groups(rows):
@@ -655,8 +693,42 @@ class TestGuidedBallExit:
         monkeypatch.setattr(p, "_bisect", counted)
         p.validate()
         two_bubble_perimeter(p)
-        assert counts["rays"] > 20_000
+        # validate's 4,096 samples and the two 4,096-ray bands, plus edge rays
+        assert counts["rays"] >= 4096 + 2 * 4096
         assert counts["uncertified"] < 1e-3 * counts["rays"]
+
+    def test_default_3d_perimeter_solves_one_band(self, monkeypatch):
+        # criterion 7's h = 1 profile: one union solve of the 180 x 256 band
+        # and three edge rays per (meridian, side) key, and no band array
+        # outlives the ball term's peak
+        p = _TwoBubbleProfile(SmoothedMaxNorm(3, 0.5), 1.5, 0.735)
+        p.validate()
+        tracemalloc.start()
+        _wulff_ball_perimeter(p.dual, p.r, 400_000)
+        ball_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        solves = []
+        union_rho = p.union_rho
+
+        def counted(u):
+            solves.append(u)
+            return union_rho(u)
+
+        monkeypatch.setattr(p, "union_rho", counted)
+        tracemalloc.start()
+        two_bubble_perimeter(p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(solves) == 1
+        u = solves[0][:180 * 256]
+        theta = np.arccos(np.clip(u[:, 0], -1.0, 1.0))
+        band = np.abs(theta - np.pi / 2) < p.beta
+        m = u[band]
+        m[:, 0] = 0.0
+        m /= np.sin(theta[band])[:, None]
+        keys = _row_groups(np.column_stack([m, np.where(theta[band] <= np.pi / 2, 1.0, -1.0)]))[0]
+        assert len(solves[0]) == 180 * 256 + 3 * len(keys)
+        assert peak <= 1.05 * ball_peak
 
 
 class TestNormSequence:
