@@ -20,13 +20,15 @@ class UnsupportedOperationError(AnisoError):
 class ConvergenceError(AnisoError):
     """An iterative solver did not reach its tolerance.
 
-    Carries the best value found and a rough bound on the remaining gap.
+    Carries the best value found, a rough bound on the remaining gap and,
+    from a batched solve, the indices of the points that did not stop.
     """
 
-    def __init__(self, message, best=None, gap=None):
+    def __init__(self, message, best=None, gap=None, stuck=None):
         super().__init__(message)
         self.best = best
         self.gap = gap
+        self.stuck = stuck
 
 
 class NonUniqueMaximizerError(SingularPointError):

@@ -63,8 +63,11 @@ def _newton(residual, x0, target, what):
     of the target, and takes that step too, so its result depends only on its
     own input, not on the batch it shares.  Stopped points are dropped from
     the working set only once fewer than half of it still runs.  Raises
-    ConvergenceError after 64 steps.  Its users: `SmoothedMaxNorm._solve_sigma`,
-    `_SmoothedMaxPolar._maximizer` and `shapes._TwoBubbleProfile._newton_exit`.
+    ConvergenceError after 64 steps, with ``best`` the iterates (final for the
+    points that stopped) and ``stuck`` the flat indices of the points that did
+    not.  Its users: `SmoothedMaxNorm._solve_sigma`,
+    `_SmoothedMaxPolar._maximizer` and `shapes._TwoBubbleProfile._newton_exit`,
+    which bisects the stuck rays alone.
     """
     tol = 1e-14 * max(1.0, abs(target))
     x = np.array(x0, dtype=float)
@@ -83,8 +86,9 @@ def _newton(residual, x0, target, what):
             idx = np.flatnonzero(run) if isinstance(idx, slice) else idx[run]
             f = f[run]
             run = np.ones(left, dtype=bool)
+    stuck = np.flatnonzero(run) if isinstance(idx, slice) else idx[run]
     raise ConvergenceError(f"{what} Newton solve did not converge in 64 steps",
-                           best=x, gap=float(np.max(np.abs(f[run]))))
+                           best=x, gap=float(np.max(np.abs(f[run]))), stuck=stuck)
 
 
 def _bordered_solve(a, col, row, top, bottom=0.0):
@@ -670,9 +674,17 @@ class DualNorm(Norm):
     # -- numeric engine ----------------------------------------------------
 
     def _maximize(self, u, check_unique=False):
-        """Maximize u . v over { phi(v) = 1 }; returns (values, maximizers)."""
+        """Maximize u . v over { phi(v) = 1 }; returns (values, maximizers).
+
+        Solved at u / 2^k with |u| / 2^k in [1/2, 1), so that every step,
+        residual and spread below is measured against a unit-scale u, and the
+        value scaled back by 2^k; both scalings are exact.  So the value is
+        1-homogeneous in u and the maximizer 0-homogeneous at every scale.
+        """
         base = self.base
         n, d = u.shape
+        scale = np.ldexp(1.0, np.frexp(np.linalg.norm(u, axis=-1))[1])
+        u = u / scale[:, None]
         starts = _fixed_restart_directions(d)                # (R, d)
         r = starts.shape[0]
         v = np.broadcast_to(starts[None, :, :], (n, r, d)).reshape(n * r, d).copy()
@@ -832,7 +844,7 @@ class DualNorm(Norm):
                         raise NonUniqueMaximizerError(
                             f"ascent restarts disagree by {spread:.2e} at comparable objective values"
                         )
-        return out_val, out_v
+        return out_val * scale, out_v
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (ConvergenceError, GeometryError, InvalidArgumentError, MeshBudgetError,
                      UnsupportedOperationError)
 from .mesh import TriSurface
-from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, _newton, parse_norm, tangent_basis,
+from .norms import (Norm, SmoothedMaxNorm, WeightedLpNorm, _newton, parse_norm,
                     unit_sphere_samples)
 from .wulff import WulffShape, _sphere_sample, check_radius, sphere_vertex_count
 from .grid import Translate, Union
@@ -176,7 +176,7 @@ class _TwoBubbleProfile:
     on the ray only through its meridian (u with the axis part removed,
     normalized) and its side of the equator, so they are solved once per
     distinct (meridian, side) pair, in the same union solve as the rays
-    themselves (`_radii`).
+    themselves (`_solve`).
     """
 
     def __init__(self, norm, r, neck_width, axis=0):
@@ -193,26 +193,25 @@ class _TwoBubbleProfile:
         self.beta = float(np.clip(0.9 * np.sqrt(self.w / (2 * self.r)), 0.05, 0.6))
         self.radial_bound = 2.2 * self.r * float(np.max(np.abs(self.center_offset))) + self.r
 
-    # largest t with phi_polar(t u - c) <= r (1 + 1e-13): a 46-step bisection
-    # on [0, 2 radial_bound], guided by Newton roots so that only its steps
-    # within a margin of the root evaluate phi_polar.  Newton starts at the
-    # root of the ball's quadratic model about the tangency point, so a ray
-    # that grazes that point costs few steps.  A ray whose final bracket
-    # ends are not both evaluated midpoints (or bracket ends) is bisected again
-    # unguided, so every radius is the plain bisection's, bit for bit.
+    # the exit t of phi_polar(t u - c) = r (1 + 1e-13): the Newton root of
+    # `_newton_exit`, started at the root of the ball's quadratic model about
+    # the tangency point, so a ray that grazes that point costs few steps.  A
+    # polar without a gradient everywhere, and a ray whose Newton solve does
+    # not stop, takes `_bisect`'s exit instead.
     def _ball_exit(self, u, sign):
         c = sign * self.center_offset
         level = self.r * (1 + 1e-13)
         t_max = 2.0 * self.radial_bound
-        root, margin = self._newton_exit(u, c, level, t_max)
-        lo, certified = self._bisect(u, c, level, t_max, root, margin)
-        redo = ~certified
-        if np.any(redo):
-            lo[redo], _ = self._bisect(u[redo], c, level, t_max, root[redo], np.inf)
-        return lo
+        if not self.dual.smooth:
+            return self._bisect(u, c, level, t_max)
+        t, stuck = self._newton_exit(u, c, level, t_max)
+        if len(stuck):
+            t[stuck] = self._bisect(u[stuck], c, level, t_max)
+        return t
 
     def _newton_exit(self, u, c, level, t_max):
-        """Newton roots of f(t) = phi_polar(t u - c) - level, and guide margins.
+        """Newton roots of f(t) = phi_polar(t u - c) - level, and the indices
+        of the rays whose solve did not stop.
 
         With x = grad phi_polar(y) at y = t u - c, phi_polar(y) = <y, x>, so one
         maximizer solve gives both f = <y, x> - level and f' = <x, u>.  f is
@@ -221,36 +220,25 @@ class _TwoBubbleProfile:
         programming", 1967).  f and f' are taken once at `_newton_start`'s
         point: a ray on a rising slope takes that Newton step, which lands
         right of the exit, f being convex, and is clipped to t_max; any other
-        ray starts at t_max.  `norms._newton` then runs every ray from there.
-        A ray's margin, max(1.25 q, 1e-14 r / slope) with q the bisection
-        quantum and slope its last one, holds the bisection's final bracket
-        ends, within q of the exit, and the band in which rounding of
-        phi_polar (a few ulp of r) can flip the sign of f.  If the solve does
-        not converge, every ray of the call, like every ray of a dual without
-        a gradient everywhere, keeps margin inf: its bisection is unguided.
+        ray starts at t_max.  `norms._newton` then runs every ray from there
+        and stops each on its own residual, so a root depends only on its ray.
+        If the solve does not converge, the rays that stopped keep their roots.
         """
-        n = len(u)
-        margin = np.full(n, np.inf)
-        if not self.dual.smooth:
-            return np.zeros(n), margin
-        slope = np.empty(n)
 
         def residual(t, idx):
             ui = u[idx]
             y = t[:, None] * ui - c
             x = self.dual.grad(y)
-            slope[idx] = s = np.sum(x * ui, axis=-1)
-            return np.sum(y * x, axis=-1), s
+            return np.sum(y * x, axis=-1), np.sum(x * ui, axis=-1)
 
         t = self._newton_start(u, c, level, t_max)
         f, s = residual(t, slice(None))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(s > 0, np.fmin(t - (f - level) / s, t_max), t_max)
         try:
-            root = _newton(residual, t, level, "two-bubble ball exit")
-        except ConvergenceError:
-            return np.zeros(n), margin
-        return root, np.maximum(1.25 * t_max * 2.0**-46, 1e-14 * self.r / slope)
+            return _newton(residual, t, level, "two-bubble ball exit"), ()
+        except ConvergenceError as exc:
+            return exc.best, exc.stuck
 
     def _newton_start(self, u, c, level, t_max):
         """min(t_max, t_q), with t_q the positive root of f's quadratic model
@@ -271,29 +259,17 @@ class _TwoBubbleProfile:
             t_q = np.where(b > 0, -2 * f0 / (b + disc), (disc - b) / (2 * a))
         return np.where(t_q > 0, np.fmin(t_max, t_q), t_max)
 
-    def _bisect(self, u, c, level, t_max, root, margin):
-        """The 46-step bisection; a step evaluates phi_polar only for rays whose
-        midpoint lies within margin of root, the others take mid < root.
-
-        Returns the radii and whether each ray's final lo and hi both came from
-        evaluated midpoints or the bracket ends.  A midpoint is evaluated
-        exactly when it lies within margin of root, so both flags are read off
-        the final bracket: lo is seen if it is 0 or within margin of root, hi
-        if it is t_max or within margin of root.
-        """
+    def _bisect(self, u, c, level, t_max):
+        """The largest t on the 46-step bisection grid of [0, t_max] with
+        phi_polar(t u - c) <= level, evaluating every step."""
         lo = np.zeros(len(u))
         hi = np.full(len(u), t_max)
         for _ in range(46):
             mid = 0.5 * (lo + hi)
-            inside = mid < root
-            ev = np.abs(mid - root) <= margin
-            if np.any(ev):
-                inside[ev] = self.dual.eval(mid[ev, None] * u[ev] - c) <= level
+            inside = self.dual.eval(mid[:, None] * u - c) <= level
             np.copyto(lo, mid, where=inside)
             np.copyto(hi, mid, where=~inside)
-        lo_seen = (lo == 0.0) | (np.abs(lo - root) <= margin)
-        hi_seen = (hi == t_max) | (np.abs(hi - root) <= margin)
-        return lo, lo_seen & hi_seen
+        return lo
 
     def union_rho(self, u):
         ua = u[:, self.axis]
@@ -308,12 +284,7 @@ class _TwoBubbleProfile:
         return 0.5 * self.w / self.dual.eval(u_perp)
 
     def __call__(self, u):
-        return self._radii(np.atleast_2d(np.asarray(u, dtype=float)))[1]
-
-    def _radii(self, u):
-        """(union, profile) radii at rays u, from one union solve."""
-        union, profile, _ = self._solve(u)
-        return union, profile
+        return self._solve(np.atleast_2d(np.asarray(u, dtype=float)))[1]
 
     def _solve(self, u):
         """(union, profile, grads) at rays u, from one union solve.
@@ -404,25 +375,27 @@ class _TwoBubbleProfile:
 
         return union, profile, grads
 
-    def _radii_sets(self, sets):
-        """_radii of each ray set, from one solve: (unions, profiles) lists."""
-        union, profile = self._radii(np.concatenate(sets))
-        cut = np.cumsum([len(s) for s in sets])[:-1]
-        return np.split(union, cut), np.split(profile, cut)
-
-    def validate(self, *more):
+    def validate(self, rays=None):
         """Check the radii on 4,096 sphere samples and bound the neck pocket.
 
-        The ray sets ``more`` join the same solve; returns their profile radii.
+        Rays ``rays`` join the same solve; returns the profile's radii and
+        tangential gradients grad_S rho (the solve's grads()) there.
         """
         u = unit_sphere_samples(self.dim, 4096)
-        _, (rho, *rest) = self._radii_sets([u, *more])
-        if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
+        n = len(u)
+        if rays is not None:
+            u = np.concatenate([u, rays])
+        _, profile, grads = self._solve(u)
+        rho = profile[:n]
+        # a radius below the bisection quantum meets no ball, only the 1e-13
+        # slack of the exit level about the tangency point
+        if not np.all(np.isfinite(rho)) or np.any(rho < 2.0 * self.radial_bound * 2.0**-46):
             raise GeometryError("two-bubble radial profile degenerate; widen the neck")
-        theta = np.arccos(np.clip(u[:, self.axis], -1, 1))
+        theta = np.arccos(np.clip(u[:n, self.axis], -1, 1))
         band = np.abs(theta - np.pi / 2) < self.beta
         self._band_rho_bound = float(np.max(rho[band])) * 1.05 if np.any(band) else 0.0
-        return rest
+        if rays is not None:
+            return profile[n:], grads()[1][n:]
 
     # fast solid-level evaluation: the two balls dominate everywhere except a
     # small radial pocket around the waist, where the blend profile is added
@@ -538,11 +511,10 @@ class TwoBubbleSolid:
 def _gen_two_bubble(spec, resolution):
     profile = _TwoBubbleProfile(spec.norm, spec.r, spec.neck_width)
     u, faces = _sphere_sample(spec.norm.dim, resolution)
-    t = tangent_basis(u)
-    # validate's samples, the mesh rays and the normals' probes in one solve
-    rho, *probe_rho = profile.validate(u, *_chord_probes(u, t, 1e-5))
-    # outward normal of x = rho(u) u: proportional to u - grad_S(rho) / rho
-    nrm = u - _grad_s(t, probe_rho, 1e-5) / rho[:, None]
+    # validate's samples and the mesh rays in one solve, which also gives
+    # grad_S rho; the outward normal of x = rho(u) u is along u - grad_S(rho) / rho
+    rho, grad_s = profile.validate(u)
+    nrm = u - grad_s / rho[:, None]
     mesh = TriSurface(rho[:, None] * u, faces,
                       normals=nrm / np.linalg.norm(nrm, axis=-1, keepdims=True))
     solid = TwoBubbleSolid(profile)
@@ -599,30 +571,15 @@ def _gen_tangent_union(spec, resolution):
 # The anisotropic area element of a star-shaped surface x = rho(u) u is
 # phi(rho^(d-1) u - rho^(d-2) grad_S rho) dsigma(u) by 1-homogeneity of phi,
 # and its outward normal is proportional to u - grad_S(rho) / rho.  One
-# density (`_area_density`) serves every perimeter in both dimensions.  The
-# gradient is `_grad_s`'s central differences along a unit tangent frame for
-# `radial_perimeter` and the two-bubble normals; `two_bubble_perimeter` takes
-# it from its one band solve by implicit differentiation instead
-# (`_TwoBubbleProfile._solve`), with no probe ray.  The dense direction
-# quadrature resolves near-crystalline norms far better than chordal meshes,
-# whose slanted faces misreport phi(normal) around sharp edges.
+# density (`_area_density`) serves every perimeter in both dimensions.  Every
+# grad_S rho is analytic: the perturbed radius's in closed form
+# (`perturbed_wulff_perimeter`), the two-bubble profile's by implicit
+# differentiation of its one union solve (`_TwoBubbleProfile._solve`), for
+# the mesh normals and the perimeter alike, with no probe ray.  The dense
+# direction quadrature resolves near-crystalline norms far better than
+# chordal meshes, whose slanted faces misreport phi(normal) around sharp edges.
 
 _SPHERE_AREA = {2: 2 * np.pi, 3: 4 * np.pi}
-
-
-def _chord_probes(u, t, h):
-    """The unit rays u +- h t_k, + then - for each column k of the frame t."""
-    for k in range(t.shape[-1]):
-        for p in (u + h * t[..., k], u - h * t[..., k]):
-            yield p / np.linalg.norm(p, axis=-1, keepdims=True)
-
-
-def _grad_s(t, probe_rho, h):
-    """Tangential gradient of rho on the unit tangent frame t, (..., d, d-1),
-    from the radii at the + and the - chord probe (`_chord_probes`, step h)
-    of each column in turn."""
-    return sum(((probe_rho[2 * k] - probe_rho[2 * k + 1]) / (2 * h))[..., None] * t[..., k]
-               for k in range(t.shape[-1]))
 
 
 def _area_density(norm, u, rho, grad_s):
@@ -632,13 +589,14 @@ def _area_density(norm, u, rho, grad_s):
 
 
 def radial_perimeter(norm, rho_fn, n_dirs=None):
-    """Anisotropic perimeter of the radial graph rho(u) u by direction quadrature."""
+    """Anisotropic perimeter of the radial graph rho(u) u by direction
+    quadrature; rho_fn(u) gives (rho, grad_S rho) at the unit rays u, taken
+    2^16 rays at a time."""
     dim = norm.dim
     u = unit_sphere_samples(dim, {2: 200_000, 3: 400_000}[dim] if n_dirs is None else n_dirs)
-    t = tangent_basis(u)
-    probe_rho = [rho_fn(p) for p in _chord_probes(u, t, 1e-6)]
-    grad_s = _grad_s(t, probe_rho, 1e-6)
-    return float(np.mean(_area_density(norm, u, rho_fn(u), grad_s)) * _SPHERE_AREA[dim])
+    total = sum(float(np.sum(_area_density(norm, b, *rho_fn(b))))
+                for b in np.split(u, range(2**16, len(u), 2**16)))
+    return total / len(u) * _SPHERE_AREA[dim]
 
 
 def _wulff_ball_perimeter(dual, r, n_dirs):
@@ -716,14 +674,23 @@ def two_bubble_perimeter(profile: "_TwoBubbleProfile", n_ball=None, n_band=None)
 
 def perturbed_wulff_perimeter(spec: ShapeSpec, n_dirs=None):
     """Dense-quadrature perimeter of the perturbed Wulff graph."""
-    norm = spec.norm
+    norm, r, eps = spec.norm, spec.r, spec.eps
     dual = norm.dual()
-    value, _ = perturbation_pattern(norm.dim, spec.pattern)
+    value, sgrad = perturbation_pattern(norm.dim, spec.pattern)
 
     def rho(u):
-        gp = dual.grad(u)
-        uhat = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
-        return spec.r * (1.0 + spec.eps * value(uhat)) / dual.eval(u)
+        # rho = r (1 + eps Y(g)) / phi_polar(u) with g = grad phi_polar / |grad
+        # phi_polar|, whose derivative D g = (I - g g^T) H / |grad phi_polar|
+        # (H the polar Hessian) gives grad rho = (r eps D g^T grad_S Y(g) - rho
+        # grad phi_polar) / phi_polar; grad_S Y(g) is tangent at g, so
+        # D g^T grad_S Y(g) = H grad_S Y(g) / |grad phi_polar|
+        pol, gp = dual.eval(u), dual.grad(u)
+        gpn = np.linalg.norm(gp, axis=-1, keepdims=True)
+        g = gp / gpn
+        rho = r * (1.0 + eps * value(g)) / pol
+        dy = np.einsum("nij,nj->ni", dual.hess(u), sgrad(g)) / gpn
+        grad = (r * eps * dy - rho[:, None] * gp) / pol[:, None]
+        return rho, grad - np.sum(grad * u, axis=-1, keepdims=True) * u
 
     return radial_perimeter(norm, rho, n_dirs=n_dirs)
 

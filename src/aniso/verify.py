@@ -468,7 +468,7 @@ def check_bubbling_steps(seq_kind, h_list, base_spec=None, dim=3):
     `run_bubbling` cannot run: its sequence norm does not exist in floating
     point, or its two-bubble radial profile is degenerate (from h = 8 in 2D
     and h = 7 in 3D, where the union of the two near-crystalline balls leaves
-    rays outside the neck band with radius 0)."""
+    rays outside the neck band that meet neither ball)."""
     base_spec = _bubbling_base(seq_kind, base_spec, dim)
     for h in h_list:
         try:

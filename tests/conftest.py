@@ -19,6 +19,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def wulff_ball_rho(dual, r):
+    """The (rho, grad_S rho) function of the Wulff ball of radius r for
+    `radial_perimeter`: rho = r / phi_polar(u) and
+    grad_S rho = -rho P_t grad phi_polar(u) / phi_polar(u), P_t = I - u u^T."""
+    def rho_fn(u):
+        pol, gp = dual.eval(u), dual.grad(u)
+        rho = r / pol
+        tang = gp - np.sum(gp * u, axis=-1, keepdims=True) * u
+        return rho, -(rho / pol)[:, None] * tang
+    return rho_fn
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

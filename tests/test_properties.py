@@ -8,7 +8,8 @@ independence of eval, grad and hess (each point gets the same value in
 every batch it is part of).  The l1 and linf Wulff polytopes are closed
 outward meshes whose volume and anisotropic perimeter satisfy
 d |W_r| = r P(W_r).  Points are drawn at unit scale; homogeneity is checked
-on eval over factors 1e-3 to 1e3.
+on eval over factors 1e-3 to 1e3, and for the numeric polar on eval and grad
+over |u| = 1e-6 to 1e6.
 """
 
 import numpy as np
@@ -46,6 +47,21 @@ def test_closed_form_contract(dim, spec, polar, seed):
 def test_numeric_polar_contract(dim, spec, seed):
     # one draw each: a numeric polar call runs hundreds of ascent steps
     _check_contract(DualNorm(parse_norm(spec, dim)), seed)
+
+
+@pytest.mark.parametrize("dim,spec", [(d, s) for d in (2, 3) for s in _SMOOTH[d]])
+@settings(max_examples=1, deadline=None, derandomize=True)
+@given(seed=_SEEDS)
+def test_numeric_polar_is_homogeneous_at_every_scale(dim, spec, seed):
+    # eval 1-homogeneous and grad 0-homogeneous on 20 unit directions scaled
+    # to |u| = 1e-6 ... 1e6: the solver's tolerances are relative to |u|
+    norm = DualNorm(parse_norm(spec, dim))
+    u = np.random.default_rng(seed).normal(size=(20, dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    val, grad = norm.eval(u), norm.grad(u)
+    for scale in 10.0 ** np.arange(-6, 7, 3):
+        assert np.allclose(norm.eval(scale * u), scale * val, rtol=1e-12, atol=0)
+        assert np.allclose(norm.grad(scale * u), grad, rtol=0, atol=1e-12)
 
 
 def _check_contract(norm, seed):

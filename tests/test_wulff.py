@@ -233,11 +233,11 @@ class TestVolumePerimeter:
         # oracle: refine eps and extrapolate; the linf limit is the
         # cross-polytope with P = (n+1)|W|/r = 4 at r = 1
         from aniso.shapes import radial_perimeter
+        from conftest import wulff_ball_rho
 
         def perimeter(eps):
             norm = SmoothedMaxNorm(3, eps)
-            dual = norm.dual()
-            return radial_perimeter(norm, lambda u: 1.0 / dual.eval(u), n_dirs=200_000)
+            return radial_perimeter(norm, wulff_ball_rho(norm.dual(), 1.0), n_dirs=200_000)
 
         p_fine, p_finer = perimeter(0.05), perimeter(0.025)
         extrapolated = 2 * p_finer - p_fine
