@@ -684,6 +684,23 @@ class TestEdgeKeys:
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+class TestBallExitProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((2, 3)), st.floats(1.0, 8.0), st.integers(0, 2**32 - 1))
+    def test_union_rho_is_the_plain_bisection(self, dim, k, seed):
+        # random smoothmax eps in [2^-8, 0.5], random rays with a quarter on
+        # or within 1e-9 of the tangency plane: the union radius is the plain
+        # bisection's to within the ray's margin
+        p = _TwoBubbleProfile(SmoothedMaxNorm(dim, 2.0**-k), 1.0, 0.3)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(64, dim))
+        u[:8, p.axis] = 0.0
+        u[8:16, p.axis] = rng.uniform(-1e-9, 1e-9, 8)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        ref, margin = _union_ref(p, u)
+        assert np.all(np.abs(p.union_rho(u) - ref) <= margin)
+
+
 def _exit_norm(family, dim, x, rng):
     # a random norm of the family; x in [0, 1] picks its parameter
     if family == "smoothmax":
@@ -700,8 +717,8 @@ class TestGuidedBallExit:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(("smoothmax", "ellipse", "lp", "rotated")), st.sampled_from((2, 3)),
            st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    def test_exit_lies_within_its_margin_of_the_bisection(self, family, dim, x, seed):
-        # each ball's Newton exit against the plain 46-step bisection, within
+    def test_equals_the_unguided_bisection(self, family, dim, x, seed):
+        # each ball's Newton exit equals the plain 46-step bisection to within
         # the ray's margin max(1.25 q, 1e-14 r / slope); a quarter of the rays
         # lie on the tangency plane and a quarter graze the tangency point,
         # with |u_axis| from 1e-3 down to 1e-12 (the rotated norm has no
